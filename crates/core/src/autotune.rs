@@ -19,10 +19,11 @@
 
 use gpsim::{Gpu, HostBufId, HostPool, SimTime};
 
-use crate::buffer::{buffer_impl, BufferOptions};
+use crate::buffer::BufferOptions;
 use crate::costmodel::ModelTuner;
 use crate::error::{RtError, RtResult};
-use crate::exec::{expect_done, KernelBuilder, Region};
+use crate::exec::{expect_done, run_compiled, KernelBuilder, Region};
+use crate::plan::Staging;
 use crate::report::RunReport;
 use crate::spec::Schedule;
 
@@ -196,15 +197,10 @@ fn autotune_exhaustive(
         let mut candidate =
             Region::new(region.spec.clone(), region.lo, region.hi, st.arrays.clone());
         candidate.spec.schedule = Schedule::static_(chunk, streams);
-        buffer_impl(
-            &mut st.twin,
-            &candidate,
-            builder,
-            &BufferOptions::default(),
-            None,
-        )
-        .map(expect_done)
-        .map(|rep| rep.total)
+        let buffered = Staging::Ring(BufferOptions::default());
+        run_compiled(&mut st.twin, &candidate, builder, buffered, None, None)
+            .map(expect_done)
+            .map(|rep| rep.total)
     });
 
     // Fold in grid order: the winner on ties is the earliest candidate,
@@ -257,8 +253,8 @@ pub fn run_autotuned(
     let tuned = autotune(gpu, region, builder, space)?;
     let mut best_region = region.clone();
     best_region.spec.schedule = tuned.best;
-    let report = buffer_impl(gpu, &best_region, builder, &BufferOptions::default(), None)
-        .map(expect_done)?;
+    let buffered = Staging::Ring(BufferOptions::default());
+    let report = run_compiled(gpu, &best_region, builder, buffered, None, None).map(expect_done)?;
     Ok((tuned, report))
 }
 
@@ -329,7 +325,8 @@ mod tests {
         // And the tuned run must beat the paper's default static[1,3].
         let mut dflt = region.clone();
         dflt.spec.schedule = Schedule::static_(1, 3);
-        let worst = buffer_impl(&mut gpu, &dflt, &builder, &BufferOptions::default(), None)
+        let buffered = Staging::Ring(BufferOptions::default());
+        let worst = run_compiled(&mut gpu, &dflt, &builder, buffered, None, None)
             .map(expect_done)
             .unwrap();
         let (_, best) = run_autotuned(&mut gpu, &region, &builder, &TuneSpace::default()).unwrap();

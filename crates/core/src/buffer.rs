@@ -21,26 +21,26 @@
 //! like the paper's dependency calculation that "removes the data that
 //! only previous chunks require".
 //!
-//! Execution is split into **compile** and **replay**: [`compile_plan`]
+//! This module is the model's **compile** step: [`compile_plan`]
 //! resolves the schedule, classifies every residency/hazard decision into
 //! per-chunk [`ChunkStep`]s and interns the trace label — all without
-//! touching the device — and the driver replays the resulting
-//! [`CompiledPlan`], issuing only device commands. Iterative callers
-//! (sweeps, autotune probes, multi-iteration apps) compile once and pass
-//! the plan back in via
+//! touching the device. The one executor in [`crate::exec`] replays the
+//! resulting [`CompiledPlan`], issuing only device commands, and the cost
+//! model replays the same plan into its analytic recurrence. Iterative
+//! callers (sweeps, autotune probes, multi-iteration apps) compile once
+//! and pass the plan back in via
 //! [`RunOptions::with_compiled`](crate::RunOptions::with_compiled),
 //! taking per-run planning out of the host hot path.
 
-use gpsim::{Copy2D, CounterTrack, EventId, Gpu, HostSpanKind, StreamId, WaitCause};
+use gpsim::{DeviceProfile, Gpu, SimTime, WaitCause};
 
 use crate::error::RtResult;
-use crate::exec::{declare_accesses, KernelBuilder, Region};
+use crate::exec::{execute_compiled, KernelBuilder, Region};
 use crate::plan::{
     build_window_table, resolve_plan, resolve_plan_fn, ChunkStep, CompiledPlan, EvKind, Plan,
-    PlanKey, WindowFn, WindowTable,
+    PlanKey, Staging, WindowFn, WindowTable,
 };
-use crate::recovery::{drain_with_recovery, DrainResult, DriverOutcome, RecoveryCtx, RecoveryStats};
-use crate::report::{ExecModel, RunReport};
+use crate::recovery::{DriverOutcome, RecoveryCtx};
 use crate::spec::{RegionSpec, SplitSpec};
 use crate::view::{ArrayView, ChunkCtx};
 
@@ -103,8 +103,9 @@ fn slot_runs_into(lo: i64, hi: i64, slots: usize, out: &mut Vec<(i64, usize)>) {
     }
 }
 
-/// [`slot_runs_into`] returning a fresh vector (tests and cold paths).
-fn slot_runs(lo: i64, hi: i64, slots: usize) -> Vec<(i64, usize)> {
+/// [`slot_runs_into`] returning a fresh vector (recovery reissues and
+/// tests).
+pub(crate) fn slot_runs(lo: i64, hi: i64, slots: usize) -> Vec<(i64, usize)> {
     let mut out = Vec::new();
     slot_runs_into(lo, hi, slots, &mut out);
     out
@@ -148,7 +149,7 @@ pub enum StreamAssignment {
 /// Ablation switches for the Pipelined-buffer driver (used by the
 /// `ablations` bench to quantify each design choice; defaults reproduce
 /// the paper's prototype).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferOptions {
     /// Track slice residency and skip re-copies of halo slices already on
     /// the device. Off = every chunk copies its full window.
@@ -229,35 +230,47 @@ fn estimate_chunk_cost(
     t + p.kernel_time(probe.cost.flops, probe.cost.bytes).as_secs_f64()
 }
 
-/// Resolve the chunk → stream map under the configured policy.
-fn assign_streams(
-    gpu: &Gpu,
+/// The least-loaded chunk → stream map: each chunk goes to the stream
+/// with the least estimated enqueued work so far. The assignment widens
+/// the set of simultaneously in-flight chunks, so the plan's rings are
+/// widened to cover it, or write-after-read stalls would serialize the
+/// pipeline.
+fn least_loaded_streams(
+    gpu: &mut Gpu,
     region: &Region,
-    plan: &Plan,
-    table: &WindowTable,
-    views: &[ArrayView],
     builder: &KernelBuilder<'_>,
-    policy: StreamAssignment,
-) -> Vec<usize> {
-    let ns = plan.num_streams;
-    match policy {
-        StreamAssignment::RoundRobin => (0..plan.chunks.len()).map(|c| c % ns).collect(),
-        StreamAssignment::LeastLoaded => {
-            let mut loads = vec![0.0f64; ns];
-            let mut out = Vec::with_capacity(plan.chunks.len());
-            for (c, &(k0, k1)) in plan.chunks.iter().enumerate() {
-                let cost = estimate_chunk_cost(gpu, region, table, views, builder, c, k0, k1);
-                let (best, _) = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("ns >= 1");
-                loads[best] += cost;
-                out.push(best);
-            }
-            out
-        }
+    plan: &mut Plan,
+    table: &WindowTable,
+) -> RtResult<Vec<usize>> {
+    // Probe views over a placeholder allocation: builders may consult
+    // views to compute costs, but probe kernels are never executed.
+    let probe = gpu.alloc(1)?;
+    let views: Vec<ArrayView> = region
+        .spec
+        .maps
+        .iter()
+        .map(|m| match &m.split {
+            SplitSpec::OneD { slice_elems, .. } => ArrayView::ring_1d(probe, *slice_elems, 1),
+            SplitSpec::ColBlocks {
+                rows, block_cols, ..
+            } => ArrayView::ring_2d(probe, *block_cols, *block_cols, *rows, 1),
+        })
+        .collect();
+    let mut loads = vec![0.0f64; plan.num_streams];
+    let mut out = Vec::with_capacity(plan.chunks.len());
+    for (c, &(k0, k1)) in plan.chunks.iter().enumerate() {
+        let cost = estimate_chunk_cost(gpu, region, table, &views, builder, c, k0, k1);
+        let (best, _) = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .expect("ns >= 1");
+        loads[best] += cost;
+        out.push(best);
     }
+    gpu.free(probe)?;
+    widen_rings_for_assignment(region, plan, table, &out);
+    Ok(out)
 }
 
 /// With a non-round-robin assignment, the chunks simultaneously in
@@ -316,7 +329,7 @@ fn widen_rings_for_assignment(
 /// when that stage will actually record an event (a chunk records an H2D
 /// event iff it has copy runs, a D2H event iff it has drain runs, and
 /// always records a kernel event), so replay can resolve every wait.
-pub(crate) fn classify_chunks(
+fn classify_chunks(
     spec: &RegionSpec,
     plan: &Plan,
     table: &WindowTable,
@@ -512,13 +525,45 @@ pub fn compile_plan(
 }
 
 /// [`compile_plan`] body (validation already done by the caller).
-fn compile_impl(
+pub(crate) fn compile_impl(
     gpu: &mut Gpu,
     region: &Region,
     builder: &KernelBuilder<'_>,
     opts: &BufferOptions,
 ) -> RtResult<CompiledPlan> {
-    let mut plan = resolve_plan(&region.spec, gpu.profile(), region.lo, region.hi)?;
+    let (mut plan, table) = resolve_rings(gpu.profile(), region, opts)?;
+    let chunk_stream = match opts.assignment {
+        StreamAssignment::RoundRobin => round_robin(&plan),
+        StreamAssignment::LeastLoaded => {
+            least_loaded_streams(gpu, region, builder, &mut plan, &table)?
+        }
+    };
+    let profile = gpu.profile();
+    let cp = classify_plan(profile, region, opts, plan, table, &chunk_stream, false);
+    Ok(cp)
+}
+
+/// Device-free compile of the default (round-robin) ring plan: the
+/// buffered run the cost model replays.
+pub(crate) fn compile_round_robin(
+    profile: &DeviceProfile,
+    region: &Region,
+) -> RtResult<CompiledPlan> {
+    let opts = BufferOptions::default();
+    let (plan, table) = resolve_rings(profile, region, &opts)?;
+    let chunk_stream = round_robin(&plan);
+    let cp = classify_plan(profile, region, &opts, plan, table, &chunk_stream, false);
+    Ok(cp)
+}
+
+/// Resolve the affine plan and window table, sizing the rings as `opts`
+/// asks.
+fn resolve_rings(
+    profile: &DeviceProfile,
+    region: &Region,
+    opts: &BufferOptions,
+) -> RtResult<(Plan, WindowTable)> {
+    let mut plan = resolve_plan(&region.spec, profile, region.lo, region.hi)?;
     if opts.minimal_slots {
         plan.ring_slots = region
             .spec
@@ -535,66 +580,32 @@ fn compile_impl(
             .sum();
     }
     let table = build_window_table(&region.spec, &plan.chunks, &[])?;
-    compile_from_plan(gpu, region, builder, opts, plan, table, false)
+    Ok((plan, table))
 }
 
-/// Compile from an already-resolved plan + window table (shared by the
-/// affine and window-function paths).
-fn compile_from_plan(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-    mut plan: Plan,
-    table: WindowTable,
-    custom_windows: bool,
-) -> RtResult<CompiledPlan> {
-    // Resolve the chunk → stream assignment before sizing rings: a
-    // non-round-robin assignment widens the set of simultaneously
-    // in-flight chunks, and the rings must cover it or write-after-read
-    // stalls serialize the pipeline.
-    let chunk_stream = if opts.assignment == StreamAssignment::RoundRobin {
-        (0..plan.chunks.len())
-            .map(|c| c % plan.num_streams)
-            .collect::<Vec<_>>()
-    } else {
-        // Probe views over a placeholder allocation: builders may consult
-        // views to compute costs, but probe kernels are never executed.
-        let probe = gpu.alloc(1)?;
-        let probe_views: Vec<ArrayView> = region
-            .spec
-            .maps
-            .iter()
-            .map(|m| match &m.split {
-                SplitSpec::OneD { slice_elems, .. } => {
-                    ArrayView::ring_1d(probe, *slice_elems, 1)
-                }
-                SplitSpec::ColBlocks {
-                    rows, block_cols, ..
-                } => ArrayView::ring_2d(probe, *block_cols, *block_cols, *rows, 1),
-            })
-            .collect();
-        let assignment = assign_streams(
-            gpu,
-            region,
-            &plan,
-            &table,
-            &probe_views,
-            builder,
-            opts.assignment,
-        );
-        gpu.free(probe)?;
-        assignment
-    };
-    if opts.assignment != StreamAssignment::RoundRobin {
-        widen_rings_for_assignment(region, &mut plan, &table, &chunk_stream);
-    }
+/// Chunk `c` on stream `c % num_streams`.
+fn round_robin(plan: &Plan) -> Vec<usize> {
+    (0..plan.chunks.len())
+        .map(|c| c % plan.num_streams)
+        .collect()
+}
 
+/// The device-free tail of every ring compile: classify the chunks,
+/// intern the label and record the key.
+fn classify_plan(
+    profile: &DeviceProfile,
+    region: &Region,
+    opts: &BufferOptions,
+    plan: Plan,
+    table: WindowTable,
+    chunk_stream: &[usize],
+    custom_windows: bool,
+) -> CompiledPlan {
     let (steps, dependents) = classify_chunks(
         &region.spec,
         &plan,
         &table,
-        &chunk_stream,
+        chunk_stream,
         opts.track_residency,
     );
     let plan_label = format!(
@@ -607,76 +618,19 @@ fn compile_from_plan(
         spec: region.spec.clone(),
         lo: region.lo,
         hi: region.hi,
-        profile: gpu.profile().clone(),
-        track_residency: opts.track_residency,
-        minimal_slots: opts.minimal_slots,
-        assignment: opts.assignment,
+        profile: profile.clone(),
+        staging: Staging::Ring(*opts),
         custom_windows,
     };
-    Ok(CompiledPlan {
+    CompiledPlan {
         plan,
         table,
-        chunk_stream,
         steps,
         dependents,
         plan_label,
+        poll: SimTime::ZERO,
         key,
-    })
-}
-
-/// Is a previously compiled plan valid for this run? Custom-window plans
-/// never match: their table is not derivable from the spec alone.
-fn key_matches(key: &PlanKey, gpu: &Gpu, region: &Region, opts: &BufferOptions) -> bool {
-    !key.custom_windows
-        && key.lo == region.lo
-        && key.hi == region.hi
-        && key.track_residency == opts.track_residency
-        && key.minimal_slots == opts.minimal_slots
-        && key.assignment == opts.assignment
-        && key.spec == region.spec
-        && key.profile == *gpu.profile()
-}
-
-/// The **Pipelined-buffer** model driver proper (affine windows),
-/// optionally with chunk-granular recovery (see module docs).
-///
-/// Respects `pipeline_mem_limit` by shrinking the schedule (see
-/// [`resolve_plan`]); honours static and adaptive schedules; inflates the
-/// kernel cost by the region's `index_overhead` to account for the
-/// runtime's mod-index translation inside kernels (paper §V-D).
-///
-/// Resets the context's activity counters. Compiles a fresh plan every
-/// run; see [`buffer_impl_with`] for the cached-plan fast path.
-pub(crate) fn buffer_impl(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-    recovery: Option<&RecoveryCtx<'_>>,
-) -> RtResult<DriverOutcome> {
-    buffer_impl_with(gpu, region, builder, opts, recovery, None)
-}
-
-/// [`buffer_impl`] with an optional pre-compiled plan: when the plan's
-/// key matches this run, replay it directly (zero planning work);
-/// otherwise compile fresh — a stale plan can cost time, never
-/// correctness.
-pub(crate) fn buffer_impl_with(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-    recovery: Option<&RecoveryCtx<'_>>,
-    compiled: Option<&CompiledPlan>,
-) -> RtResult<DriverOutcome> {
-    region.validate(gpu)?;
-    if let Some(cp) = compiled {
-        if key_matches(&cp.key, gpu, region, opts) {
-            return execute_compiled(gpu, region, builder, cp, recovery, true);
-        }
     }
-    let cp = compile_impl(gpu, region, builder, opts)?;
-    execute_compiled(gpu, region, builder, &cp, recovery, false)
 }
 
 /// Driver for regions with **explicit dependency functions** — the
@@ -702,408 +656,10 @@ pub(crate) fn buffer_fn_impl(
         region.hi,
         windows,
     )?;
-    let cp = compile_from_plan(
-        gpu,
-        region,
-        builder,
-        &BufferOptions::default(),
-        plan,
-        table,
-        true,
-    )?;
+    let (profile, opts) = (gpu.profile(), BufferOptions::default());
+    let chunk_stream = round_robin(&plan);
+    let cp = classify_plan(profile, region, &opts, plan, table, &chunk_stream, true);
     execute_compiled(gpu, region, builder, &cp, recovery, false)
-}
-
-/// Resolve a compiled `(chunk, stage)` wait to the live event recorded
-/// during this replay.
-fn compiled_event(
-    h2d_ev: &[Option<EventId>],
-    kernel_ev: &[Option<EventId>],
-    d2h_ev: &[Option<EventId>],
-    ch: usize,
-    kind: EvKind,
-) -> EventId {
-    match kind {
-        EvKind::H2d => h2d_ev[ch],
-        EvKind::Kernel => kernel_ev[ch],
-        EvKind::D2h => d2h_ev[ch],
-    }
-    .expect("compiled wait references a stage that records an event")
-}
-
-/// Replay a [`CompiledPlan`]: allocate rings and streams, then issue the
-/// pre-classified per-chunk enqueue sequences. The only host work per
-/// chunk is the kernel builder call and the raw enqueues — every
-/// residency, hazard and run-grouping decision was made at compile time.
-fn execute_compiled(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    cp: &CompiledPlan,
-    recovery: Option<&RecoveryCtx<'_>>,
-    plan_reused: bool,
-) -> RtResult<DriverOutcome> {
-    let plan = &cp.plan;
-    let table = &cp.table;
-    gpu.reset_counters();
-    let t0 = gpu.now();
-    if gpu.timeline_enabled() {
-        gpu.push_host_span(cp.plan_label.clone(), HostSpanKind::Plan, t0, t0);
-    }
-
-    // --- Allocate ring buffers and build ring views --------------------
-    let n_maps = region.spec.maps.len();
-    let mut views: Vec<ArrayView> = Vec::with_capacity(n_maps);
-    for (m, &slots) in region.spec.maps.iter().zip(&plan.ring_slots) {
-        let alloc = match &m.split {
-            SplitSpec::OneD { slice_elems, .. } => gpu
-                .alloc(slots * slice_elems)
-                .map(|ptr| ArrayView::ring_1d(ptr, *slice_elems, slots)),
-            SplitSpec::ColBlocks {
-                rows, block_cols, ..
-            } => gpu
-                .alloc_pitched(*rows, slots * block_cols)
-                .map(|(ptr, pitch)| ArrayView::ring_2d(ptr, pitch, *block_cols, *rows, slots)),
-        };
-        match alloc {
-            Ok(v) => views.push(v),
-            Err(e) => {
-                // Roll back partial ring allocations on failure.
-                for v in &views {
-                    let _ = gpu.free(v.base());
-                }
-                return Err(e.into());
-            }
-        }
-    }
-
-    let streams: Vec<StreamId> = match (0..plan.num_streams)
-        .map(|_| gpu.create_stream())
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(s) => s,
-        Err(e) => {
-            for v in &views {
-                let _ = gpu.free(v.base());
-            }
-            return Err(e.into());
-        }
-    };
-    let gpu_mem = gpu.current_mem();
-
-    let n_chunks = plan.chunks.len();
-    let mut h2d_ev: Vec<Option<EventId>> = vec![None; n_chunks];
-    let mut kernel_ev: Vec<Option<EventId>> = vec![None; n_chunks];
-    let mut d2h_ev: Vec<Option<EventId>> = vec![None; n_chunks];
-
-    // Ring-slot occupancy over host time (mapped slots across all rings,
-    // precomputed per chunk at compile time) — a counter track in the
-    // trace export.
-    let mut occupancy: Vec<(u64, f64)> = Vec::new();
-    if gpu.timeline_enabled() {
-        occupancy.push((gpu.now().as_ns(), 0.0));
-    }
-
-    // Per-chunk enqueue-sequence ranges (failure → chunk lookup).
-    let mut chunk_seqs: Vec<(u64, u64)> = Vec::with_capacity(n_chunks);
-
-    let mut recovery_stats = RecoveryStats::default();
-    let mut retry_samples: Vec<(u64, f64)> = Vec::new();
-    let mut exhausted = None;
-    // Per-chunk scratch, hoisted so steady-state chunks reuse capacity.
-    let mut chunk_ranges: Vec<(i64, i64)> = Vec::new();
-    let body = (|| -> RtResult<()> {
-    for (c, step) in cp.steps.iter().enumerate() {
-        let (k0, k1) = plan.chunks[c];
-        let s = streams[step.stream];
-        let seq0 = gpu.next_seq();
-
-        // Eviction hazards are, by definition, ring-slot reuse stalls.
-        for &(ch, kind) in &step.copy_waits {
-            let e = compiled_event(&h2d_ev, &kernel_ev, &d2h_ev, ch, kind);
-            gpu.wait_event_with_cause(s, e, WaitCause::RingReuse)?;
-        }
-        for &(i, start, len) in &step.copy_runs {
-            enqueue_h2d_ring(gpu, region, &views[i], i, start, len, s)?;
-        }
-        if !step.copy_runs.is_empty() {
-            let e = gpu.create_event();
-            gpu.record_event(s, e)?;
-            h2d_ev[c] = Some(e);
-        }
-
-        for &(ch, kind, cause) in &step.kernel_waits {
-            let e = compiled_event(&h2d_ev, &kernel_ev, &d2h_ev, ch, kind);
-            gpu.wait_event_with_cause(s, e, cause)?;
-        }
-        let ctx = ChunkCtx {
-            k0,
-            k1,
-            views: views.clone(),
-        };
-        let mut kernel = builder(&ctx);
-        // Mod-index translation adds instructions *and* address-generation
-        // pressure, so both roofline terms inflate.
-        let infl = 1.0 + region.spec.index_overhead;
-        kernel.cost.flops = (kernel.cost.flops as f64 * infl) as u64;
-        kernel.cost.bytes = (kernel.cost.bytes as f64 * infl) as u64;
-        chunk_ranges.clear();
-        chunk_ranges.extend((0..n_maps).map(|i| table.ranges[i][c]));
-        let kernel = declare_accesses(gpu, kernel, region, &views, &chunk_ranges);
-        gpu.launch(s, kernel)?;
-        let ke = gpu.create_event();
-        gpu.record_event(s, ke)?;
-        kernel_ev[c] = Some(ke);
-
-        for &(i, start, len) in &step.out_runs {
-            enqueue_d2h_ring(gpu, region, &views[i], i, start, len, s)?;
-        }
-        if !step.out_runs.is_empty() {
-            let e = gpu.create_event();
-            gpu.record_event(s, e)?;
-            d2h_ev[c] = Some(e);
-        }
-        chunk_seqs.push((seq0, gpu.next_seq()));
-        if gpu.timeline_enabled() {
-            occupancy.push((gpu.now().as_ns(), step.mapped_slots as f64));
-        }
-    }
-
-    match recovery.filter(|r| r.policy.enabled()) {
-        None => gpu.synchronize()?,
-        Some(rctx) => {
-            let drained = drain_with_recovery(
-                gpu,
-                ExecModel::PipelinedBuffer,
-                region,
-                rctx,
-                &plan.chunks,
-                &chunk_seqs,
-                &cp.dependents,
-                |gpu, c| {
-                    // Re-enqueue the chunk's full triplet into the *same*
-                    // ring slots (the slice → slot map is static). The
-                    // device is drained before each reissue, so
-                    // overwriting slots that later chunks used is safe —
-                    // their results are already on the host.
-                    let (k0, k1) = plan.chunks[c];
-                    let s = streams[cp.chunk_stream[c]];
-                    let mut n = 0u64;
-                    for (i, m) in region.spec.maps.iter().enumerate() {
-                        if !m.dir.is_input() {
-                            continue;
-                        }
-                        let (a, b) = table.ranges[i][c];
-                        for (start, len) in slot_runs(a, b, plan.ring_slots[i]) {
-                            enqueue_h2d_ring(gpu, region, &views[i], i, start, len, s)?;
-                            n += 1;
-                        }
-                    }
-                    let ctx = ChunkCtx {
-                        k0,
-                        k1,
-                        views: views.clone(),
-                    };
-                    let mut kernel = builder(&ctx);
-                    let infl = 1.0 + region.spec.index_overhead;
-                    kernel.cost.flops = (kernel.cost.flops as f64 * infl) as u64;
-                    kernel.cost.bytes = (kernel.cost.bytes as f64 * infl) as u64;
-                    let chunk_ranges: Vec<(i64, i64)> =
-                        (0..n_maps).map(|i| table.ranges[i][c]).collect();
-                    let kernel = declare_accesses(gpu, kernel, region, &views, &chunk_ranges);
-                    gpu.launch(s, kernel)?;
-                    n += 1;
-                    for (i, m) in region.spec.maps.iter().enumerate() {
-                        if !m.dir.is_output() {
-                            continue;
-                        }
-                        let (a, b) = table.ranges[i][c];
-                        for (start, len) in slot_runs(a, b, plan.ring_slots[i]) {
-                            enqueue_d2h_ring(gpu, region, &views[i], i, start, len, s)?;
-                            n += 1;
-                        }
-                    }
-                    Ok(n)
-                },
-            )?;
-            match drained {
-                DrainResult::Clean {
-                    stats,
-                    retry_samples: rs,
-                } => {
-                    recovery_stats = stats;
-                    retry_samples = rs;
-                }
-                DrainResult::Exhausted {
-                    chunk,
-                    stage,
-                    attempts,
-                    source,
-                    open,
-                    stats,
-                } => {
-                    recovery_stats = stats;
-                    exhausted = Some((chunk, stage, attempts, source, open));
-                }
-            }
-        }
-    }
-    Ok(())
-    })();
-    if let Err(e) = body {
-        // A failed run must not bleed into whatever runs next on this
-        // device: drain the in-flight work, drop its failure records, and
-        // release the rings so a whole-run retry (or the caller's next
-        // run) starts from a clean device.
-        while gpu.synchronize().is_err() {}
-        let _ = gpu.take_failures();
-        for &s in &streams {
-            let _ = gpu.destroy_stream(s);
-        }
-        for v in &views {
-            let _ = gpu.free(v.base());
-        }
-        return Err(e);
-    }
-
-    let total = gpu.now() - t0;
-    let mut report = RunReport::from_gpu(
-        ExecModel::PipelinedBuffer,
-        total,
-        gpu,
-        gpu_mem,
-        plan.buffer_bytes,
-        n_chunks,
-        plan.num_streams,
-    );
-    // Report the logical workload: reissues are recovery overhead, not
-    // extra work, so a recovered run matches a fault-free one.
-    report.commands = report.commands.saturating_sub(recovery_stats.reissued_commands);
-    report.recovery = recovery_stats;
-    report.plan_reused = plan_reused;
-    if gpu.timeline_enabled() {
-        report.counter_tracks.push(CounterTrack {
-            name: "ring_slot_occupancy".into(),
-            samples: occupancy,
-        });
-        if !retry_samples.is_empty() {
-            report.counter_tracks.push(CounterTrack {
-                name: "retries_in_flight".into(),
-                samples: retry_samples,
-            });
-        }
-    }
-    for s in streams {
-        gpu.destroy_stream(s)?;
-    }
-    for v in &views {
-        gpu.free(v.base())?;
-    }
-    match exhausted {
-        None => Ok(DriverOutcome::Done(report)),
-        Some((chunk, stage, attempts, source, open)) => Ok(DriverOutcome::Exhausted {
-            unfinished: open.into_iter().map(|c| plan.chunks[c]).collect(),
-            report,
-            chunk,
-            stage,
-            attempts,
-            source,
-        }),
-    }
-}
-
-/// Copy slices `[start, start+len)` of map `i` from the host array into
-/// their (contiguous) ring slots.
-fn enqueue_h2d_ring(
-    gpu: &mut Gpu,
-    region: &Region,
-    view: &ArrayView,
-    i: usize,
-    start: i64,
-    len: usize,
-    stream: StreamId,
-) -> RtResult<()> {
-    let m = &region.spec.maps[i];
-    let host = region.arrays[i];
-    match &m.split {
-        SplitSpec::OneD { slice_elems, .. } => {
-            gpu.memcpy_h2d_async(
-                stream,
-                host,
-                start as usize * slice_elems,
-                view.slice_ptr(start),
-                len * slice_elems,
-            )?;
-        }
-        SplitSpec::ColBlocks {
-            rows,
-            block_cols,
-            row_stride,
-            ..
-        } => {
-            let (dev, stride) = view.block_ptr(start);
-            gpu.memcpy2d_h2d_async(
-                stream,
-                Copy2D {
-                    rows: *rows,
-                    row_elems: len * block_cols,
-                    host,
-                    host_off: start as usize * block_cols,
-                    host_stride: *row_stride,
-                    dev,
-                    dev_stride: stride,
-                },
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Copy slices `[start, start+len)` of map `i` from their ring slots back
-/// to the host array.
-fn enqueue_d2h_ring(
-    gpu: &mut Gpu,
-    region: &Region,
-    view: &ArrayView,
-    i: usize,
-    start: i64,
-    len: usize,
-    stream: StreamId,
-) -> RtResult<()> {
-    let m = &region.spec.maps[i];
-    let host = region.arrays[i];
-    match &m.split {
-        SplitSpec::OneD { slice_elems, .. } => {
-            gpu.memcpy_d2h_async(
-                stream,
-                view.slice_ptr(start),
-                len * slice_elems,
-                host,
-                start as usize * slice_elems,
-            )?;
-        }
-        SplitSpec::ColBlocks {
-            rows,
-            block_cols,
-            row_stride,
-            ..
-        } => {
-            let (dev, stride) = view.block_ptr(start);
-            gpu.memcpy2d_d2h_async(
-                stream,
-                Copy2D {
-                    rows: *rows,
-                    row_elems: len * block_cols,
-                    host,
-                    host_off: start as usize * block_cols,
-                    host_stride: *row_stride,
-                    dev,
-                    dev_stride: stride,
-                },
-            )?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 //! [`ExecModel`] directly from the [`DeviceProfile`] constants (bandwidth
 //! ramp, API overhead, dispatch cost, duplex factor) and the
 //! [`RegionSpec`](crate::RegionSpec) shape. The estimate is a **forward
-//! recurrence** over the driver's exact enqueue order: per command,
+//! recurrence** over the command stream the driver issues: the pipelined
+//! models compile the same [`CompiledPlan`] the driver runs and replay it
+//! through the driver's own replay loop into the recurrence instead of
+//! the device, so the model cannot drift from the driver. Per command,
 //! `start = max(host clock, stream ready, engine free)` and
 //! `end = start + dispatch + duration`, with the host clock advancing by
 //! the per-call API overhead. No event queue, no reordering, no device
@@ -36,14 +39,16 @@
 //! [`ModelTuner`] to re-pick the chunk size between iterations.
 
 use gpsim::{
-    DeviceProfile, ExecMode, Gpu, HostPool, KernelCost, SimTime, StallCause, ELEM_BYTES,
+    DeviceProfile, ExecMode, Gpu, HostPool, KernelCost, SimTime, StallCause, WaitCause, ELEM_BYTES,
 };
 
 use crate::autotune::{Trial, TuneResult, TuneSpace};
-use crate::buffer::{buffer_impl_with, classify_chunks, compile_plan, BufferOptions};
+use crate::buffer::{compile_plan, compile_round_robin, BufferOptions};
 use crate::error::{RtError, RtResult};
-use crate::exec::{expect_done, KernelBuilder, PipelinedOptions, Region};
-use crate::plan::{build_window_table, chunk_ranges, resolve_plan, CompiledPlan};
+use crate::exec::{
+    compile_pipelined, expect_done, replay, run_compiled, CommandSink, KernelBuilder, Region,
+};
+use crate::plan::{CompiledPlan, Staging};
 use crate::report::{ExecModel, RunReport};
 use crate::spec::{Schedule, SplitSpec};
 use crate::view::{ArrayView, ChunkCtx};
@@ -430,16 +435,8 @@ impl<'a> CostModel<'a> {
         self.profile.kernel_time(flops, bytes).as_secs_f64() * self.calibration.kernel
     }
 
-    /// H2D seconds for `slices` consecutive slices of map `i`.
-    fn h2d_secs(&self, i: usize, slices: usize) -> f64 {
-        self.dma_secs(i, slices, true)
-    }
-
-    /// D2H seconds for `slices` consecutive slices of map `i`.
-    fn d2h_secs(&self, i: usize, slices: usize) -> f64 {
-        self.dma_secs(i, slices, false)
-    }
-
+    /// Transfer seconds for `slices` consecutive slices of map `i`, host →
+    /// device when `h2d`.
     fn dma_secs(&self, i: usize, slices: usize, h2d: bool) -> f64 {
         let pinned = self.pinned[i];
         let p = &self.profile;
@@ -473,16 +470,22 @@ impl<'a> CostModel<'a> {
 
     /// Predict the makespan of this region under `model` with the given
     /// requested schedule (`chunk`/`streams` are ignored by
-    /// [`ExecModel::Naive`]). Buffered predictions resolve the plan
-    /// first, so `pipeline_mem_limit` shrinking is mirrored exactly;
-    /// an infeasible limit surfaces as
+    /// [`ExecModel::Naive`]). The pipelined models compile the plan the
+    /// driver would run (buffered plans resolve it first, so
+    /// `pipeline_mem_limit` shrinking is mirrored exactly) and replay it
+    /// into the recurrence; an infeasible limit surfaces as
     /// [`RtError::MemLimitInfeasible`](crate::RtError).
     pub fn predict(&self, model: ExecModel, chunk: usize, streams: usize) -> RtResult<Prediction> {
-        match model {
-            ExecModel::Naive => Ok(self.predict_naive()),
-            ExecModel::Pipelined => Ok(self.predict_pipelined(chunk, streams)),
-            ExecModel::PipelinedBuffer | ExecModel::Auto => self.predict_buffer(chunk, streams),
+        if model == ExecModel::Naive {
+            return Ok(self.predict_naive());
         }
+        let mut region = self.region.clone();
+        region.spec.schedule = Schedule::static_(chunk, streams);
+        let cp = match model {
+            ExecModel::Pipelined => compile_pipelined(&self.profile, &region)?,
+            _ => compile_round_robin(&self.profile, &region)?,
+        };
+        Ok(self.predict_plan(&cp))
     }
 
     /// Naive model: allocs, synchronous full copies, one kernel, all on
@@ -496,7 +499,7 @@ impl<'a> CostModel<'a> {
         }
         for (i, m) in spec.maps.iter().enumerate() {
             if m.dir.is_input() {
-                w.copy(0, self.h2d_secs(i, m.split.extent()), true);
+                w.copy(0, self.dma_secs(i, m.split.extent(), true), true);
                 w.stream_sync(0);
             }
         }
@@ -504,7 +507,7 @@ impl<'a> CostModel<'a> {
         w.stream_sync(0);
         for (i, m) in spec.maps.iter().enumerate() {
             if m.dir.is_output() {
-                w.copy(0, self.d2h_secs(i, m.split.extent()), false);
+                w.copy(0, self.dma_secs(i, m.split.extent(), false), false);
                 w.stream_sync(0);
             }
         }
@@ -520,180 +523,70 @@ impl<'a> CostModel<'a> {
         pred
     }
 
-    /// Pipelined model: full-size device arrays, disjoint input coverage
-    /// via per-map high-water marks, per-enqueue polling charge — the
-    /// recurrence mirrors the driver's loop shape exactly.
-    fn predict_pipelined(&self, chunk: usize, streams: usize) -> Prediction {
-        let region = self.region;
-        let spec = &region.spec;
-        let iters = (region.hi - region.lo).max(0) as usize;
-        let chunk = chunk.min(iters.max(1)).max(1);
-        let ns = streams.max(1);
-        let chunks = chunk_ranges(region.lo, region.hi, chunk);
-        let poll = PipelinedOptions::default()
-            .poll_time(self.profile.api_overhead, ns)
-            .as_secs_f64()
-            * self.calibration.host;
-
-        // Per-map copy state, replicating the driver exactly: a high-water
-        // mark (inputs are copied in disjoint [hwm, b) extensions) and a
-        // per-slice owner map (which chunk's copy brought each slice in).
-        let bases: Vec<i64> = spec
-            .maps
+    /// Replay a compiled plan into the recurrence: the executor's setup
+    /// calls (one allocation per map, one stream creation per stream),
+    /// then exactly the command stream the driver issues.
+    fn predict_plan(&self, cp: &CompiledPlan) -> Prediction {
+        let ns = cp.plan.num_streams;
+        let infl = cp.kernel_inflation().unwrap_or(1.0);
+        let kernel: Vec<f64> = cp
+            .plan
+            .chunks
             .iter()
-            .map(|m| m.split.needed_slices(region.lo, region.hi).0)
+            .map(|&(k0, k1)| self.kernel_secs(k0, k1, infl))
             .collect();
-
         let run_pass = |prev: Option<EngineIvals>| -> Walk {
-            let mut w = Walk::new(&self.profile, &self.calibration, ns + 1, ns);
-            w.prev = prev;
-            for _ in &spec.maps {
-                w.api_call(); // alloc per map
+            let mut sink = WalkSink {
+                w: Walk::new(&self.profile, &self.calibration, ns + 1, ns),
+                model: self,
+                kernel: &kernel,
+            };
+            sink.w.prev = prev;
+            for _ in 0..self.region.spec.maps.len() + ns {
+                sink.w.api_call();
             }
-            for _ in 0..ns {
-                w.api_call(); // create_stream
-            }
-            let mut hwm = bases.clone();
-            let mut owner: Vec<Vec<usize>> = spec
-                .maps
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let (a, b) = m.split.needed_slices(region.lo, region.hi);
-                    debug_assert_eq!(a, bases[i]);
-                    vec![usize::MAX; (b - a).max(0) as usize]
-                })
-                .collect();
-            // h2d event time per chunk (None = chunk copied nothing).
-            let mut h2d_event: Vec<Option<f64>> = vec![None; chunks.len()];
-
-            for (c, &(k0, k1)) in chunks.iter().enumerate() {
-                let s = c % ns;
-                let mut copied_any = false;
-                for (i, m) in spec.maps.iter().enumerate() {
-                    if !m.dir.is_input() {
-                        continue;
-                    }
-                    let (_, b) = m.split.needed_slices(k0, k1);
-                    if hwm[i] >= b {
-                        continue;
-                    }
-                    w.copy(s, self.h2d_secs(i, (b - hwm[i]) as usize), true);
-                    w.host_busy(poll);
-                    for sl in hwm[i]..b {
-                        owner[i][(sl - bases[i]) as usize] = c;
-                    }
-                    hwm[i] = b;
-                    copied_any = true;
-                }
-                if copied_any {
-                    let t = w.create_record(s);
-                    w.host_busy(poll);
-                    h2d_event[c] = Some(t);
-                }
-                // Cross-stream RAW waits: owners of our window's slices
-                // that ran on a different stream.
-                let mut waits: Vec<usize> = Vec::new();
-                for (i, m) in spec.maps.iter().enumerate() {
-                    if !m.dir.is_input() {
-                        continue;
-                    }
-                    let (a, b) = m.split.needed_slices(k0, k1);
-                    for sl in a..b {
-                        let o = owner[i][(sl - bases[i]) as usize];
-                        if o != usize::MAX && o != c && o % ns != s && !waits.contains(&o) {
-                            waits.push(o);
-                        }
-                    }
-                }
-                for &o in &waits {
-                    if let Some(t) = h2d_event[o] {
-                        w.wait(s, t);
-                        w.host_busy(poll);
-                    }
-                }
-                w.launch(s, self.kernel_secs(k0, k1, 1.0));
-                w.host_busy(poll);
-                for (i, m) in spec.maps.iter().enumerate() {
-                    if !m.dir.is_output() {
-                        continue;
-                    }
-                    let (a, b) = m.split.needed_slices(k0, k1);
-                    if b > a {
-                        w.copy(s, self.d2h_secs(i, (b - a) as usize), false);
-                        w.host_busy(poll);
-                    }
-                }
-            }
-            w
+            replay(cp, &mut sink).expect("the recurrence accepts every command");
+            sink.w
         };
-        fixed_point(run_pass).finish(ExecModel::Pipelined, chunk, ns)
+        fixed_point(run_pass).finish(cp.model(), cp.plan.chunk_size, ns)
+    }
+}
+
+/// The recurrence as a [`CommandSink`]: replaying a plan into it times
+/// each command instead of executing it.
+struct WalkSink<'m, 'a> {
+    w: Walk,
+    model: &'m CostModel<'a>,
+    /// Kernel seconds per chunk, computed once per prediction.
+    kernel: &'m [f64],
+}
+
+impl CommandSink for WalkSink<'_, '_> {
+    /// The predicted completion time.
+    type Event = f64;
+
+    fn copy(&mut self, stream: usize, map: usize, _: i64, len: usize, h2d: bool) -> RtResult<()> {
+        self.w.copy(stream, self.model.dma_secs(map, len, h2d), h2d);
+        Ok(())
     }
 
-    /// Pipelined-buffer model: resolve the plan (mem-limit shrinking and
-    /// all), classify the chunks with the *driver's own* classifier, and
-    /// walk the compiled steps — so the recurrence sees the exact
-    /// command sequence replay would issue.
-    fn predict_buffer(&self, chunk: usize, streams: usize) -> RtResult<Prediction> {
-        let region = self.region;
-        let mut spec = region.spec.clone();
-        spec.schedule = Schedule::static_(chunk, streams);
-        let plan = resolve_plan(&spec, &self.profile, region.lo, region.hi)?;
-        let table = build_window_table(&spec, &plan.chunks, &[])?;
-        let ns = plan.num_streams;
-        let chunk_stream: Vec<usize> = (0..plan.chunks.len()).map(|c| c % ns).collect();
-        let (steps, _) = classify_chunks(&spec, &plan, &table, &chunk_stream, true);
-        let infl = 1.0 + spec.index_overhead;
+    fn launch(&mut self, stream: usize, chunk: usize) -> RtResult<()> {
+        self.w.launch(stream, self.kernel[chunk]);
+        Ok(())
+    }
 
-        let run_pass = |prev: Option<EngineIvals>| -> Walk {
-            let mut w = Walk::new(&self.profile, &self.calibration, ns + 1, ns);
-            w.prev = prev;
-            for _ in &spec.maps {
-                w.api_call(); // ring alloc per map
-            }
-            for _ in 0..ns {
-                w.api_call(); // create_stream
-            }
+    fn record(&mut self, stream: usize) -> RtResult<f64> {
+        Ok(self.w.create_record(stream))
+    }
 
-            let mut h2d_event: Vec<Option<f64>> = vec![None; plan.chunks.len()];
-            let mut kernel_event: Vec<f64> = vec![0.0; plan.chunks.len()];
-            let mut d2h_event: Vec<Option<f64>> = vec![None; plan.chunks.len()];
-            let ev =
-                |h2d: &[Option<f64>], k: &[f64], d2h: &[Option<f64>], ch: usize, kind| match kind {
-                    crate::plan::EvKind::H2d => h2d[ch].unwrap_or(0.0),
-                    crate::plan::EvKind::Kernel => k[ch],
-                    crate::plan::EvKind::D2h => d2h[ch].unwrap_or(0.0),
-                };
+    fn wait(&mut self, stream: usize, event: f64, _cause: WaitCause) -> RtResult<()> {
+        self.w.wait(stream, event);
+        Ok(())
+    }
 
-            for (c, step) in steps.iter().enumerate() {
-                let (k0, k1) = plan.chunks[c];
-                let s = step.stream;
-                for &(ch, kind) in &step.copy_waits {
-                    let t = ev(&h2d_event, &kernel_event, &d2h_event, ch, kind);
-                    w.wait(s, t);
-                }
-                for &(i, _, len) in &step.copy_runs {
-                    w.copy(s, self.h2d_secs(i, len), true);
-                }
-                if !step.copy_runs.is_empty() {
-                    h2d_event[c] = Some(w.create_record(s));
-                }
-                for &(ch, kind, _) in &step.kernel_waits {
-                    let t = ev(&h2d_event, &kernel_event, &d2h_event, ch, kind);
-                    w.wait(s, t);
-                }
-                w.launch(s, self.kernel_secs(k0, k1, infl));
-                kernel_event[c] = w.create_record(s);
-                for &(i, _, len) in &step.out_runs {
-                    w.copy(s, self.d2h_secs(i, len), false);
-                }
-                if !step.out_runs.is_empty() {
-                    d2h_event[c] = Some(w.create_record(s));
-                }
-            }
-            w
-        };
-        Ok(fixed_point(run_pass).finish(ExecModel::PipelinedBuffer, plan.chunk_size, ns))
+    fn host_busy(&mut self, t: SimTime) {
+        self.w
+            .host_busy(t.as_secs_f64() * self.model.calibration.host);
     }
 }
 
@@ -901,11 +794,11 @@ pub fn run_model_online(
         if compiled.is_none() {
             compiled = Some(compile_plan(gpu, &it_region, builder, &opts)?);
         }
-        let report = buffer_impl_with(
+        let report = run_compiled(
             gpu,
             &it_region,
             builder,
-            &opts,
+            Staging::Ring(opts),
             None,
             compiled.as_ref(),
         )
@@ -1019,8 +912,7 @@ mod tests {
 
     #[test]
     fn predictions_track_the_simulator_within_tolerance() {
-        use crate::buffer::buffer_impl;
-        use crate::exec::{naive_impl, pipelined_impl};
+        use crate::exec::naive_impl;
         let (mut gpu, region) = setup(DeviceProfile::k40m());
         gpu.set_timeline_enabled(false);
         let model = CostModel::new(&gpu, &region, &builder).unwrap();
@@ -1034,25 +926,20 @@ mod tests {
         let pl_pred = model.predict(ExecModel::Pipelined, 4, 3).unwrap();
         let mut pl_region = region.clone();
         pl_region.spec.schedule = Schedule::static_(4, 3);
-        let pl_meas = pipelined_impl(
-            &mut gpu,
-            &pl_region,
-            &builder,
-            &PipelinedOptions::default(),
-            None,
-        )
-        .map(expect_done)
-        .unwrap();
+        let pl_meas = run_compiled(&mut gpu, &pl_region, &builder, Staging::Direct, None, None)
+            .map(expect_done)
+            .unwrap();
         let err = (pl_pred.total.as_secs_f64() - pl_meas.total.as_secs_f64()).abs()
             / pl_meas.total.as_secs_f64();
         assert!(err < 0.15, "pipelined error {err:.3}");
 
         let buf_pred = model.predict(ExecModel::PipelinedBuffer, 4, 3).unwrap();
-        let buf_meas = buffer_impl(
+        let buf_meas = run_compiled(
             &mut gpu,
             &pl_region,
             &builder,
-            &BufferOptions::default(),
+            Staging::Ring(BufferOptions::default()),
+            None,
             None,
         )
         .map(expect_done)

@@ -122,7 +122,7 @@ pub use costmodel::{
 };
 pub use error::{RtError, RtResult};
 pub use metrics::{Histogram, Stage, StageMetrics};
-pub use exec::{KernelBuilder, PipelinedOptions, Region};
+pub use exec::{KernelBuilder, Region};
 pub use multi::{
     partition_iterations, run_model_multi, DeviceTrace, Migration, MigrationCause, MultiOptions,
     MultiRecovery, MultiReport,

@@ -14,10 +14,11 @@
 //! bandwidth on the target device, and defaults to three streams (input
 //! copy / compute / output copy can then fully overlap).
 
-use gpsim::{DeviceProfile, WaitCause, ELEM_BYTES, PITCH_ALIGN_ELEMS};
+use gpsim::{DeviceProfile, SimTime, WaitCause, ELEM_BYTES, PITCH_ALIGN_ELEMS};
 
-use crate::buffer::StreamAssignment;
+use crate::buffer::BufferOptions;
 use crate::error::{RtError, RtResult};
+use crate::report::ExecModel;
 use crate::spec::{RegionSpec, Schedule, SplitSpec};
 
 /// A resolved execution plan for one region.
@@ -29,10 +30,10 @@ pub struct Plan {
     pub num_streams: usize,
     /// Chunk iteration ranges `[k0, k1)`, in order.
     pub chunks: Vec<(i64, i64)>,
-    /// Ring capacity (slices) per mapped array, in map order. Only
-    /// meaningful for the Pipelined-buffer driver.
+    /// Ring capacity (slices) per mapped array, in map order. A
+    /// Pipelined plan's "ring" is the whole array (slot = slice).
     pub ring_slots: Vec<usize>,
-    /// Total device bytes of all ring buffers under this plan.
+    /// Total device bytes of all staged arrays under this plan.
     pub buffer_bytes: u64,
 }
 
@@ -339,10 +340,10 @@ pub fn resolve_plan_fn(
 
 /// Which of a chunk's completion events a compiled wait refers to.
 ///
-/// The Pipelined-buffer driver records at most one event per chunk per
-/// stage (H2D group, kernel, D2H group); a compiled wait names the
-/// producing chunk and the stage instead of a live [`gpsim::EventId`],
-/// so the same compiled plan can be replayed on fresh events every run.
+/// A replay records at most one event per chunk per stage (H2D group,
+/// kernel, D2H group); a compiled wait names the producing chunk and the
+/// stage instead of a live [`gpsim::EventId`], so the same compiled plan
+/// can be replayed on fresh events every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvKind {
     /// The chunk's H2D-group completion event.
@@ -354,9 +355,9 @@ pub enum EvKind {
 }
 
 /// The fully classified enqueue recipe for one chunk of a compiled
-/// Pipelined-buffer run: every hazard wait, copy run and drain run the
-/// driver will issue, in issue order. Produced once by [`compile_plan`]
-/// (or on the first run) and replayed on every execution.
+/// pipelined run: every hazard wait, copy run and drain run the driver
+/// will issue, in issue order. Produced once by [`compile_plan`] (or on
+/// the first run) and replayed on every execution.
 ///
 /// [`compile_plan`]: crate::compile_plan
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -367,7 +368,7 @@ pub struct ChunkStep {
     /// evictions), as `(producing chunk, stage)`.
     pub copy_waits: Vec<(usize, EvKind)>,
     /// H2D copy runs `(map, first slice, slice count)`, each one
-    /// contiguous in the ring.
+    /// contiguous on the device.
     pub copy_runs: Vec<(usize, i64, usize)>,
     /// Events to wait on before the kernel launch, with the recorded
     /// stall cause (cross-stream halo dependency or ring-slot reuse).
@@ -375,28 +376,28 @@ pub struct ChunkStep {
     /// D2H drain runs `(map, first slice, slice count)`.
     pub out_runs: Vec<(usize, i64, usize)>,
     /// Ring slots mapped across all arrays once this chunk is classified
-    /// (the occupancy counter sample for the trace export).
+    /// (the occupancy counter sample for the trace export; 0 in a
+    /// Pipelined plan, which has no rings).
     pub mapped_slots: usize,
 }
 
 /// Everything the run spent deciding, with the device untouched: the
-/// compiled form of one Pipelined-buffer execution.
+/// compiled form of one Pipelined or Pipelined-buffer execution.
 ///
 /// Compiling resolves the plan (including memory-limit shrinking), builds
 /// the window table, assigns chunks to streams, classifies every
 /// residency/hazard decision into [`ChunkStep`]s and interns the plan
-/// label — so replaying the plan only issues device commands. Reusable
+/// label — so replaying the plan only issues device commands. The same
+/// replay drives the simulated device and the cost model. Reusable
 /// across iterations, sweep trials and autotune probes as long as the
-/// region shape, device profile and buffer options are unchanged (the
-/// driver checks, and silently recompiles on mismatch).
+/// region shape, device profile and staging are unchanged (the driver
+/// checks, and silently recompiles on mismatch).
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     /// The resolved schedule (chunks, streams, ring capacities).
     pub plan: Plan,
     /// Per-map per-chunk dependency ranges.
     pub table: WindowTable,
-    /// Chunk → stream index.
-    pub chunk_stream: Vec<usize>,
     /// Per-chunk enqueue recipes, in chunk order.
     pub steps: Vec<ChunkStep>,
     /// Halo-consumer graph: `dependents[c]` are chunks whose kernels read
@@ -404,7 +405,49 @@ pub struct CompiledPlan {
     pub dependents: Vec<Vec<usize>>,
     /// Interned `plan(...)` trace label.
     pub plan_label: String,
+    /// Host time charged after every enqueue (zero for ring plans).
+    pub(crate) poll: SimTime,
     pub(crate) key: PlanKey,
+}
+
+impl CompiledPlan {
+    /// The execution model this plan runs under.
+    pub(crate) fn model(&self) -> ExecModel {
+        match self.key.staging {
+            Staging::Direct => ExecModel::Pipelined,
+            Staging::Ring(_) => ExecModel::PipelinedBuffer,
+        }
+    }
+
+    /// Whether replay records kernel and D2H completion events (ring
+    /// plans wait on them before reusing a slot; a Pipelined plan only
+    /// records H2D groups).
+    pub(crate) fn records_all_stages(&self) -> bool {
+        matches!(self.key.staging, Staging::Ring(_))
+    }
+
+    /// Kernel-cost multiplier of a ring plan: the runtime's mod-index
+    /// translation adds instructions *and* address-generation pressure,
+    /// so both roofline terms inflate by the region's `index_overhead`
+    /// (paper §V-D). `None` for a Pipelined plan, whose indices are
+    /// unchanged.
+    pub(crate) fn kernel_inflation(&self) -> Option<f64> {
+        match self.key.staging {
+            Staging::Direct => None,
+            Staging::Ring(_) => Some(1.0 + self.key.spec.index_overhead),
+        }
+    }
+}
+
+/// How a compiled plan stages the mapped arrays on the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Staging {
+    /// Full-footprint arrays with unchanged indices (the Pipelined
+    /// model): unpitched, slot = slice, no `index_overhead` inflation.
+    Direct,
+    /// Pre-allocated ring buffers of `ring_slots` slices, compiled under
+    /// these options (the Pipelined-buffer model).
+    Ring(BufferOptions),
 }
 
 /// What a [`CompiledPlan`] was compiled against; replay is valid only for
@@ -415,12 +458,29 @@ pub(crate) struct PlanKey {
     pub lo: i64,
     pub hi: i64,
     pub profile: DeviceProfile,
-    pub track_residency: bool,
-    pub minimal_slots: bool,
-    pub assignment: StreamAssignment,
+    /// A ring plan never replays as a Pipelined run, and vice versa.
+    pub staging: Staging,
     /// Plans built against caller-supplied window functions carry window
     /// ranges the key cannot describe, so they never match for reuse.
     pub custom_windows: bool,
+}
+
+impl PlanKey {
+    /// Is a plan with this key valid for running `region` on a device
+    /// with `profile` under `staging`?
+    pub fn matches(
+        &self,
+        profile: &DeviceProfile,
+        region: &crate::exec::Region,
+        staging: Staging,
+    ) -> bool {
+        !self.custom_windows
+            && self.lo == region.lo
+            && self.hi == region.hi
+            && self.staging == staging
+            && self.spec == region.spec
+            && self.profile == *profile
+    }
 }
 
 /// Heuristic schedule: three streams, and a chunk size such that the

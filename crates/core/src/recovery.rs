@@ -273,6 +273,15 @@ pub(crate) enum DriverOutcome {
     },
 }
 
+impl DriverOutcome {
+    /// The run's report, finished or partial.
+    pub(crate) fn report_mut(&mut self) -> &mut crate::report::RunReport {
+        match self {
+            DriverOutcome::Done(report) | DriverOutcome::Exhausted { report, .. } => report,
+        }
+    }
+}
+
 /// Result of [`drain_with_recovery`], before the driver wraps it into a
 /// [`DriverOutcome`].
 pub(crate) enum DrainResult {

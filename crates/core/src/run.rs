@@ -21,11 +21,11 @@
 use gpsim::{Gpu, SimError};
 
 use crate::autotune::{autotune, TuneSpace};
-use crate::buffer::{buffer_fn_impl, buffer_impl_with, BufferOptions};
+use crate::buffer::{buffer_fn_impl, BufferOptions};
 use crate::error::{RtError, RtResult};
-use crate::exec::{naive_impl, pipelined_impl, KernelBuilder, PipelinedOptions, Region};
+use crate::exec::{naive_impl, run_compiled, KernelBuilder, Region};
 use crate::multi::MultiOptions;
-use crate::plan::WindowFn;
+use crate::plan::{Staging, WindowFn};
 use crate::recovery::{
     Degradation, DriverOutcome, RecoveryCtx, RecoveryStats, RetryPolicy, ToFromSnapshot,
 };
@@ -44,8 +44,6 @@ pub struct RunOptions {
     /// Naive`) when retries are exhausted or a memory limit is
     /// infeasible, instead of failing the run.
     pub degrade: bool,
-    /// Tuning knobs of the Pipelined driver.
-    pub pipelined: PipelinedOptions,
     /// Ablation switches of the Pipelined-buffer driver.
     pub buffer: BufferOptions,
     /// Candidate grid for [`ExecModel::Auto`].
@@ -79,13 +77,6 @@ impl RunOptions {
     #[must_use]
     pub fn with_degrade(mut self, degrade: bool) -> RunOptions {
         self.degrade = degrade;
-        self
-    }
-
-    /// Set the Pipelined driver options.
-    #[must_use]
-    pub fn with_pipelined(mut self, opts: PipelinedOptions) -> RunOptions {
-        self.pipelined = opts;
         self
     }
 
@@ -363,38 +354,24 @@ fn run_driver(
             let mut sub = region.clone();
             let iters = (region.hi - region.lo).max(1) as usize;
             sub.spec.schedule = Schedule::static_(iters, 1);
-            match pipelined_impl(gpu, &sub, builder, &opts.pipelined, recovery)? {
-                DriverOutcome::Done(mut r) => {
-                    r.model = ExecModel::Naive;
-                    Ok(DriverOutcome::Done(r))
-                }
-                DriverOutcome::Exhausted {
-                    mut report,
-                    chunk,
-                    stage,
-                    attempts,
-                    source,
-                    unfinished,
-                } => {
-                    report.model = ExecModel::Naive;
-                    Ok(DriverOutcome::Exhausted {
-                        report,
-                        chunk,
-                        stage,
-                        attempts,
-                        source,
-                        unfinished,
-                    })
-                }
-            }
+            let mut outcome = run_compiled(gpu, &sub, builder, Staging::Direct, recovery, None)?;
+            outcome.report_mut().model = ExecModel::Naive;
+            Ok(outcome)
         }
         ExecModel::Naive => naive_impl(gpu, region, builder).map(DriverOutcome::Done),
-        ExecModel::Pipelined => pipelined_impl(gpu, region, builder, &opts.pipelined, recovery),
-        ExecModel::PipelinedBuffer => buffer_impl_with(
+        ExecModel::Pipelined => run_compiled(
             gpu,
             region,
             builder,
-            &opts.buffer,
+            Staging::Direct,
+            recovery,
+            opts.compiled.as_deref(),
+        ),
+        ExecModel::PipelinedBuffer => run_compiled(
+            gpu,
+            region,
+            builder,
+            Staging::Ring(opts.buffer),
             recovery,
             opts.compiled.as_deref(),
         ),

@@ -2,10 +2,12 @@
 //! produce bit-identical results to a CPU reference, and their timing and
 //! memory relations must match the paper's qualitative claims.
 
+use std::sync::Arc;
+
 use gpsim::{DeviceProfile, ExecMode, Gpu, HostBufId, KernelCost, KernelLaunch};
 use pipeline_rt::{
-    run_model, Affine, ChunkCtx, ExecModel, KernelBuilder, MapDir, MapSpec, Region, RegionSpec,
-    RtError, RtResult, RunOptions, RunReport, Schedule, SplitSpec,
+    compile_plan, run_model, Affine, BufferOptions, ChunkCtx, ExecModel, KernelBuilder, MapDir,
+    MapSpec, Region, RegionSpec, RtError, RtResult, RunOptions, RunReport, Schedule, SplitSpec,
 };
 
 /// One concrete execution model through the unified front door, as a
@@ -448,5 +450,31 @@ fn pipelined_rejects_overlapping_output_windows() {
     }
     region.hi -= 1; // keep the widened window in bounds
     let err = run_pipelined(&mut gpu, &region, &stencil_builder).unwrap_err();
-    assert!(err.to_string().contains("overlapping"), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "invalid region spec: map 'out': output window 2 exceeds stride 1; chunks would \
+         write overlapping host ranges in nondeterministic order"
+    );
+}
+
+#[test]
+fn a_buffer_plan_is_never_replayed_by_the_pipelined_model() {
+    let mut gpu = functional_gpu();
+    let (region, _, _) = stencil_region(Schedule::static_(2, 3), &mut gpu);
+    let plan = compile_plan(&mut gpu, &region, &stencil_builder, &BufferOptions::default())
+        .unwrap();
+    let opts = RunOptions::default().with_compiled(Arc::new(plan));
+
+    let reused = run_model(&mut gpu, &region, &stencil_builder, ExecModel::Pipelined, &opts)
+        .unwrap();
+    let fresh = run_pipelined(&mut gpu, &region, &stencil_builder).unwrap();
+    assert!(!reused.plan_reused);
+    assert_eq!(reused.model, ExecModel::Pipelined);
+    assert_eq!(reused.gpu_mem_bytes, fresh.gpu_mem_bytes);
+    assert_eq!(reused.total, fresh.total);
+
+    // The buffered model does replay it.
+    let buffered =
+        run_model(&mut gpu, &region, &stencil_builder, ExecModel::PipelinedBuffer, &opts).unwrap();
+    assert!(buffered.plan_reused);
 }

@@ -30,8 +30,8 @@ pub mod prelude {
     };
     // Options and policies.
     pub use pipeline_rt::{
-        BufferOptions, ExecModel, MultiOptions, PipelinedOptions, RetryPolicy, RunOptions,
-        StreamAssignment, TuneSpace,
+        BufferOptions, ExecModel, MultiOptions, RetryPolicy, RunOptions, StreamAssignment,
+        TuneSpace,
     };
     // Results and errors.
     pub use pipeline_rt::{MultiReport, RtError, RtResult, RunReport};
