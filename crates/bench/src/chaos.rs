@@ -350,14 +350,14 @@ pub fn print(results: &[ChaosResult]) {
             r.cell.mean_gap
         );
         println!(
-            "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}",
+            "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}  {:>6}",
             "policy", "done", "rejected", "miss", "jain", "lost", "trips", "recov", "degrade",
-            "verify"
+            "verify", "refs"
         );
         for p in [&r.fifo, &r.hardened] {
             let rep = &p.report;
             println!(
-                "  {:>14}  {:>5}  {:>9}  {:>6.3}  {:>6.4}  {:>5}  {:>5}  {:>8}  {:>8}  {:>5}/{}",
+                "  {:>14}  {:>5}  {:>9}  {:>6.3}  {:>6.4}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}  {:>6}",
                 p.policy,
                 rep.done,
                 rep.rejected.total(),
@@ -367,8 +367,8 @@ pub fn print(results: &[ChaosResult]) {
                 rep.breaker_trips,
                 rep.recovered,
                 rep.degraded_slices,
-                rep.verified_ok,
-                rep.verified,
+                format!("{}/{}", rep.verified_ok, rep.verified),
+                rep.reference_runs,
             );
         }
     }
@@ -387,7 +387,7 @@ fn policy_json(p: &PolicyResult) -> String {
          \"miss_rate\": {:.6}, \"fairness\": {:.6}, \"devices_lost\": {}, \
          \"failed_slices\": {}, \"recovered\": {}, \"degraded_slices\": {}, \
          \"breaker_trips\": {}, \"preempted\": {}, \"verified\": {}, \"verified_ok\": {}, \
-         \"makespan_ms\": {:.6}, \"wall_ms\": {:.3}}}",
+         \"reference_runs\": {}, \"makespan_ms\": {:.6}, \"wall_ms\": {:.3}}}",
         p.policy,
         rep.submitted,
         rep.done,
@@ -404,6 +404,7 @@ fn policy_json(p: &PolicyResult) -> String {
         rep.preempted,
         rep.verified,
         rep.verified_ok,
+        rep.reference_runs,
         rep.makespan.as_ms_f64(),
         p.wall_ms,
     )

@@ -192,13 +192,14 @@ pub fn print(results: &[CellResult]) {
             r.cell.name, rep.devices, rep.submitted, r.cell.weights, r.wall_ms
         );
         println!(
-            "  done {}  preempted {} ({} slices)  verified {}/{}  fairness {:.4}  \
-             sim makespan {}  peak host {} bufs / {} KiB",
+            "  done {}  preempted {} ({} slices)  verified {}/{} ({} reference runs)  \
+             fairness {:.4}  sim makespan {}  peak host {} bufs / {} KiB",
             rep.done,
             rep.preempted,
             rep.total_slices,
             rep.verified_ok,
             rep.verified,
+            rep.reference_runs,
             rep.fairness,
             rep.makespan,
             rep.peak_live_bufs,
@@ -247,8 +248,8 @@ pub fn json(results: &[CellResult]) -> String {
              \"rejected_over_quota\": {}, \"rejected_infeasible\": {}, \
              \"rejected_overload\": {}, \"recovered\": {}, \"devices_lost\": {}, \
              \"preempted\": {}, \"total_slices\": {}, \"verified\": {}, \"verified_ok\": {}, \
-             \"fairness\": {:.6}, \"makespan_ms\": {:.6}, \"wall_ms\": {:.3}, \
-             \"peak_live_bufs\": {}, \"peak_live_bytes\": {},\n",
+             \"reference_runs\": {}, \"fairness\": {:.6}, \"makespan_ms\": {:.6}, \
+             \"wall_ms\": {:.3}, \"peak_live_bufs\": {}, \"peak_live_bytes\": {},\n",
             r.cell.name,
             rep.devices,
             rep.submitted,
@@ -262,6 +263,7 @@ pub fn json(results: &[CellResult]) -> String {
             rep.total_slices,
             rep.verified,
             rep.verified_ok,
+            rep.reference_runs,
             rep.fairness,
             rep.makespan.as_ms_f64(),
             r.wall_ms,

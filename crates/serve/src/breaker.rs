@@ -202,7 +202,10 @@ mod tests {
         b.begin_probe();
         b.record(p1, false);
         assert!(b.is_open());
-        assert!(!b.admits(p1 + SimTime::from_ms(1)), "backoff doubled to 2ms");
+        assert!(
+            !b.admits(p1 + SimTime::from_ms(1)),
+            "backoff doubled to 2ms"
+        );
         assert!(b.admits(p1 + SimTime::from_ms(2)));
         assert_eq!(b.trips(), 2);
         // Clean probe: fully closed, history cleared.

@@ -119,6 +119,34 @@ impl JobShape {
         }
     }
 
+    /// The identity of the job's output for a given exec model: every
+    /// field that decides its input bits and kernel values. Two shapes
+    /// with equal keys produce bit-identical uninterrupted output under
+    /// the same model at any `chunk`/`streams`, which are left out on
+    /// purpose (the schedule never changes a loop's results). GEMM
+    /// returns `None`: its fill is salted by the job id, so no two jobs
+    /// of a stream share inputs. Unlike [`JobShape::sig`], the stencil
+    /// coefficients are part of the key. Keys the server's
+    /// verification-reference cache.
+    pub fn input_key(&self) -> Option<InputKey> {
+        let (kind, dims) = match self {
+            JobShape::Conv3d(c) => (0u8, [c.ni as u64, c.nj as u64, c.nk as u64, 0, 0]),
+            JobShape::Stencil(c) => (
+                1,
+                [
+                    c.nx as u64,
+                    c.ny as u64,
+                    c.nz as u64,
+                    c.c0.to_bits() as u64,
+                    c.c1.to_bits() as u64,
+                ],
+            ),
+            JobShape::Gemm(_) => return None,
+            JobShape::Qcd(c) => (3, [c.n as u64, c.nt as u64, 0, 0, 0]),
+        };
+        Some(InputKey { kind, dims })
+    }
+
     /// Allocate and fill this shape's host arrays on `gpu` and bind the
     /// region. `salt` perturbs the GEMM fill seeds so distinct jobs get
     /// distinct data; the conv3d/stencil/qcd apps use their fixed
@@ -164,6 +192,13 @@ pub struct ShapeSig {
     dims: [u64; 4],
     chunk: u64,
     streams: u64,
+}
+
+/// A shape's output identity — see [`JobShape::input_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InputKey {
+    kind: u8,
+    dims: [u64; 5],
 }
 
 /// A materialized job: bound region, kernel builder, and the host

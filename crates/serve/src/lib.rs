@@ -39,7 +39,7 @@ pub mod workload;
 pub use admission::{RateLimit, Rejection, RejectionCounts, TokenBucket};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use fleet::{DeviceModel, Fleet};
-pub use job::{GemmConfig, JobInstance, JobShape, JobSpec, ShapeSig, TenantSpec};
+pub use job::{GemmConfig, InputKey, JobInstance, JobShape, JobSpec, ShapeSig, TenantSpec};
 pub use metrics::{jain_index, ServeReport, TenantStats};
 pub use sched::{FairScheduler, QueueEntry, QueueOrder};
 pub use server::{serve, ServeOptions};

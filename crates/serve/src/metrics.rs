@@ -131,6 +131,10 @@ pub struct ServeReport {
     pub verified: u64,
     /// How many of those verified bit-identical.
     pub verified_ok: u64,
+    /// Uninterrupted reference executions actually run for those
+    /// verifications: one per (input, model) per serving call, plus one
+    /// per verified GEMM job. At most `verified`.
+    pub reference_runs: u64,
     /// Jain fairness index over per-tenant `service/weight`.
     pub fairness: f64,
     /// End-to-end simulated makespan of the whole stream.

@@ -120,9 +120,7 @@ impl FairScheduler {
                 let fifo = (std::cmp::Reverse(e.priority), e.arrival, e.id);
                 match order {
                     QueueOrder::Fifo => (SimTime::ZERO, fifo),
-                    QueueOrder::Edf => {
-                        (e.deadline.unwrap_or(SimTime::from_ns(u64::MAX)), fifo)
-                    }
+                    QueueOrder::Edf => (e.deadline.unwrap_or(SimTime::from_ns(u64::MAX)), fifo),
                 }
             })
             .map(|(i, _)| i)

@@ -121,8 +121,7 @@ impl WorkloadConfig {
             let client = id as usize % clients;
             let tenant = client % self.tenants;
             let (shape, model, priority, deadline) = self.sample_job(&mut rng);
-            let pause =
-                SimTime::from_ns(rng.gen_range(think_ns / 2..think_ns + think_ns / 2 + 1));
+            let pause = SimTime::from_ns(rng.gen_range(think_ns / 2..think_ns + think_ns / 2 + 1));
             let after = prev[client].map(|p| (p, pause));
             // Chain starts stagger by client; for chained jobs the
             // arrival only breaks ties (release is chain-driven).

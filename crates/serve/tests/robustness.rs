@@ -48,7 +48,10 @@ fn device_loss_fails_over_and_verifies() {
     check_conservation(&report);
     assert_eq!(report.done, 80, "no admission gates: everything completes");
     assert_eq!(report.devices_lost, 1, "the armed device must be lost");
-    assert!(report.failed_slices > 0, "the loss killed at least one slice");
+    assert!(
+        report.failed_slices > 0,
+        "the loss killed at least one slice"
+    );
     assert!(
         report.recovered > 0,
         "jobs in flight on the lost device must recover on survivors"
@@ -116,7 +119,10 @@ fn over_quota_jobs_are_rejected_with_reason() {
         report.rejected.get(Rejection::OverQuota) > 0,
         "a 100k/s stream against a 5k/s quota must shed"
     );
-    assert!(report.done > 0, "the quota must still admit the sustained rate");
+    assert!(
+        report.done > 0,
+        "the quota must still admit the sustained rate"
+    );
     let per_tenant: u64 = report.tenants.iter().map(|t| t.rejected.total()).sum();
     assert_eq!(per_tenant, report.rejected.total());
 }
@@ -237,7 +243,10 @@ fn closed_loop_stream_drains_through_chains() {
     fleet.calibrate().unwrap();
     let report = serve(&mut fleet, &tenants, &jobs, &ServeOptions::new()).unwrap();
     check_conservation(&report);
-    assert_eq!(report.done, 60, "every chained job must be released and served");
+    assert_eq!(
+        report.done, 60,
+        "every chained job must be released and served"
+    );
     // Rejection still releases the successor: with a starvation-level
     // quota the chains must not wedge.
     let mut fleet2 = Fleet::build(2).unwrap();
