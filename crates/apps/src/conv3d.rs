@@ -14,7 +14,14 @@ use crate::util::fill_random;
 /// One k-plane of the 11-tap convolution, scalar-indexed: the
 /// pre-blocking kernel body, kept as the bit-exact reference and the
 /// baseline the `kernel_bodies` bench compares against.
-pub fn conv3d_plane_scalar(out: &mut [f32], km: &[f32], kmid: &[f32], kp: &[f32], ni: usize, nj: usize) {
+pub fn conv3d_plane_scalar(
+    out: &mut [f32],
+    km: &[f32],
+    kmid: &[f32],
+    kp: &[f32],
+    ni: usize,
+    nj: usize,
+) {
     let [c11, c12, c13, c21, c22, c23, c31, c32, c33] = Conv3dConfig::C;
     for j in 1..nj - 1 {
         for i in 1..ni - 1 {
@@ -254,7 +261,14 @@ mod tests {
             ("buffer", ExecModel::PipelinedBuffer),
         ] {
             gpu.host_fill(inst.b, |_| 0.0).unwrap();
-            run_model(&mut gpu, &inst.region, &builder, model, &RunOptions::default()).unwrap();
+            run_model(
+                &mut gpu,
+                &inst.region,
+                &builder,
+                model,
+                &RunOptions::default(),
+            )
+            .unwrap();
             assert_exact(&read_host(&gpu, inst.b).unwrap(), &expect, name);
         }
     }

@@ -18,11 +18,11 @@
 //!   letting problem sizes that OOM the other two versions run.
 
 use gpsim::{DevPtr, Gpu, HostBufId, KernelCost, KernelLaunch};
+use pipeline_rt::RunReport;
 use pipeline_rt::{
     run_model, Affine, ChunkCtx, ExecModel, MapDir, MapSpec, Region, RegionSpec, RtResult,
     RunOptions, Schedule, SplitSpec,
 };
-use pipeline_rt::RunReport;
 
 use crate::util::fill_random;
 
@@ -46,23 +46,17 @@ pub fn gemm_scalar(c: &mut [f32], a: &[f32], b: &[f32], n: usize) {
     }
 }
 
-/// Cache-blocked i-k-j rank-`bc` update: `C += A·B` where `a` holds `n`
-/// rows of `bc` elements at stride `a_stride` and `b` is `bc × n`
-/// contiguous.
+/// Cache-blocked i-k-j rank-`bc` update: `C += A·B` where `c` holds
+/// rows of `n` elements (all `n` of a full matrix, or any row block of
+/// one), `a` holds one row of `bc` elements per `C` row at stride
+/// `a_stride`, and `b` is `bc × n` contiguous.
 ///
 /// For a fixed output element the products are added in ascending `k`
 /// starting from the incoming value — the identical f32 addition sequence
 /// to [`gemm_scalar`]'s register accumulator — so a full multiply built
 /// from ascending blocks over a zeroed `C` is bit-identical to the scalar
 /// reference while the j-contiguous inner loop autovectorizes.
-pub fn gemm_rank_update(
-    c: &mut [f32],
-    n: usize,
-    a: &[f32],
-    a_stride: usize,
-    b: &[f32],
-    bc: usize,
-) {
+pub fn gemm_rank_update(c: &mut [f32], n: usize, a: &[f32], a_stride: usize, b: &[f32], bc: usize) {
     gemm_rank_update_jb(c, n, a, a_stride, b, bc, GEMM_JB)
 }
 
@@ -78,9 +72,8 @@ pub fn gemm_rank_update_jb(
     bc: usize,
     jb: usize,
 ) {
-    for i in 0..n {
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
         let a_row = &a[i * a_stride..i * a_stride + bc];
-        let c_row = &mut c[i * n..(i + 1) * n];
         let mut j0 = 0;
         while j0 < n {
             let jw = (n - j0).min(jb);
@@ -425,13 +418,23 @@ mod tests {
         assert!(err < 1e-4, "relative error {err}");
     }
 
+    /// Deterministic `n × n` operands `(A, B)` for the bit-identity tests.
+    fn test_operands(n: usize) -> (Vec<f32>, Vec<f32>) {
+        let a = (0..n * n)
+            .map(|i| ((i * 37 + 11) % 97) as f32 * 0.17 - 5.0)
+            .collect();
+        let b = (0..n * n)
+            .map(|i| ((i * 53 + 29) % 89) as f32 * 0.23 - 7.0)
+            .collect();
+        (a, b)
+    }
+
     #[test]
     fn blocked_gemm_is_bit_identical_to_scalar() {
         // Odd n and a tiny j-block so the blocked core crosses several
         // seams; bc split into uneven ascending rank updates.
         let n = 21;
-        let a: Vec<f32> = (0..n * n).map(|i| ((i * 37 + 11) % 97) as f32 * 0.17 - 5.0).collect();
-        let b: Vec<f32> = (0..n * n).map(|i| ((i * 53 + 29) % 89) as f32 * 0.23 - 7.0).collect();
+        let (a, b) = test_operands(n);
         let mut expect = vec![0.0f32; n * n];
         gemm_scalar(&mut expect, &a, &b, n);
         let mut c = vec![0.0f32; n * n];
@@ -440,6 +443,24 @@ mod tests {
             gemm_rank_update_jb(&mut c, n, &a[k0..], n, b_rows, bc, 5);
         }
         assert_eq!(c, expect, "blocked i-k-j GEMM must be bit-exact");
+    }
+
+    #[test]
+    fn row_block_rank_update_matches_scalar_rows() {
+        // A C holding only rows r0..r0+rows of the product, as the
+        // serving GEMM job's block kernel passes it; jb = 5 crosses the
+        // j-block seam four times per row.
+        let (n, r0, rows) = (21, 7, 6);
+        let (a, b) = test_operands(n);
+        let mut expect = vec![0.0f32; n * n];
+        gemm_scalar(&mut expect, &a, &b, n);
+        let mut c = vec![0.0f32; rows * n];
+        gemm_rank_update_jb(&mut c, n, &a[r0 * n..(r0 + rows) * n], n, &b, n, 5);
+        assert_eq!(
+            c,
+            expect[r0 * n..(r0 + rows) * n],
+            "row block must be bit-exact"
+        );
     }
 
     #[test]

@@ -161,34 +161,30 @@ impl QcdConfig {
         move |ctx: &ChunkCtx| {
             let (t0, t1) = (ctx.k0, ctx.k1);
             let (vpsi, vu, vf, vout) = (ctx.view(0), ctx.view(1), ctx.view(2), ctx.view(3));
-            KernelLaunch::new(
-                "qcd_hopping",
-                cfg.chunk_cost((t1 - t0) as u64),
-                move |kc| {
-                    let psi_slice = cfg.psi_slice();
-                    let u_slice = cfg.u_slice();
-                    // One borrow per mapped array for the whole chunk;
-                    // the seven per-slice windows resolve through them.
-                    let pv = kc.read_view(vpsi.base())?;
-                    let uv = kc.read_view(vu.base())?;
-                    let fv = kc.read_view(vf.base())?;
-                    let mut ov = kc.write_view(vout.base())?;
-                    for t in t0..t1 {
-                        let slices = HopSlices {
-                            psi_m: pv.slice(vpsi.slice_ptr(t - 1), psi_slice)?,
-                            psi_0: pv.slice(vpsi.slice_ptr(t), psi_slice)?,
-                            psi_p: pv.slice(vpsi.slice_ptr(t + 1), psi_slice)?,
-                            u_m: uv.slice(vu.slice_ptr(t - 1), u_slice)?,
-                            u_0: uv.slice(vu.slice_ptr(t), u_slice)?,
-                            f_m: fv.slice(vf.slice_ptr(t - 1), u_slice)?,
-                            f_0: fv.slice(vf.slice_ptr(t), u_slice)?,
-                        };
-                        let out = ov.slice_mut(vout.slice_ptr(t), psi_slice)?;
-                        hopping_sweep(cfg.n, &slices, out);
-                    }
-                    Ok(())
-                },
-            )
+            KernelLaunch::new("qcd_hopping", cfg.chunk_cost((t1 - t0) as u64), move |kc| {
+                let psi_slice = cfg.psi_slice();
+                let u_slice = cfg.u_slice();
+                // One borrow per mapped array for the whole chunk;
+                // the seven per-slice windows resolve through them.
+                let pv = kc.read_view(vpsi.base())?;
+                let uv = kc.read_view(vu.base())?;
+                let fv = kc.read_view(vf.base())?;
+                let mut ov = kc.write_view(vout.base())?;
+                for t in t0..t1 {
+                    let slices = HopSlices {
+                        psi_m: pv.slice(vpsi.slice_ptr(t - 1), psi_slice)?,
+                        psi_0: pv.slice(vpsi.slice_ptr(t), psi_slice)?,
+                        psi_p: pv.slice(vpsi.slice_ptr(t + 1), psi_slice)?,
+                        u_m: uv.slice(vu.slice_ptr(t - 1), u_slice)?,
+                        u_0: uv.slice(vu.slice_ptr(t), u_slice)?,
+                        f_m: fv.slice(vf.slice_ptr(t - 1), u_slice)?,
+                        f_0: fv.slice(vf.slice_ptr(t), u_slice)?,
+                    };
+                    let out = ov.slice_mut(vout.slice_ptr(t), psi_slice)?;
+                    hopping_sweep(cfg.n, &slices, out);
+                }
+                Ok(())
+            })
         }
     }
 
@@ -332,7 +328,8 @@ pub fn hopping_sweep_scalar(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
 }
 
 /// Flattened SU(3) matrix: 9 complex entries split into re/im planes,
-/// loaded from the interleaved link field once and reused.
+/// loaded from the interleaved link field once and applied to every RHS
+/// lane.
 #[derive(Clone, Copy)]
 struct Su3 {
     re: [f32; 9],
@@ -352,38 +349,84 @@ fn load_su3(u: &[f32], site: usize, mu: usize) -> Su3 {
     Su3 { re, im }
 }
 
-/// `acc += M · v` on a pre-loaded matrix: same multiply/add sequence as
-/// [`mat_vec_acc`], but over fixed-size arrays with no bounds checks.
+/// One value per right-hand side: lane `l` carries RHS `l`.
+type Lanes = [f32; N_RHS];
+
+/// Complex 3-vector over all [`N_RHS`] right-hand sides at once, one
+/// lane per RHS, so every colour-component operation is a 4-wide SIMD op.
+#[derive(Clone, Copy, Default)]
+struct LaneVec3 {
+    re: [Lanes; 3],
+    im: [Lanes; 3],
+}
+
+/// Load one site's 24 ψ floats (RHS-major, interleaved re/im) into the
+/// lane layout.
 #[inline]
-fn su3_mv_acc(m: &Su3, v: &Vec3, acc: &mut Vec3) {
-    for r in 0..3 {
+fn load_lanes(psi: &[f32], site: usize) -> LaneVec3 {
+    let p = &psi[site * PSI_SITE..(site + 1) * PSI_SITE];
+    let mut v = LaneVec3::default();
+    for (rhs, comps) in p.chunks_exact(6).enumerate() {
         for c in 0..3 {
-            let e = r * 3 + c;
-            acc.re[r] += m.re[e] * v.re[c] - m.im[e] * v.im[c];
-            acc.im[r] += m.re[e] * v.im[c] + m.im[e] * v.re[c];
+            v.re[c][rhs] = comps[2 * c];
+            v.im[c][rhs] = comps[2 * c + 1];
+        }
+    }
+    v
+}
+
+/// Store the lane accumulator back into one site's RHS-major slots.
+#[inline]
+fn store_lanes(out: &mut [f32], site: usize, acc: &LaneVec3) {
+    let o = &mut out[site * PSI_SITE..(site + 1) * PSI_SITE];
+    for (rhs, comps) in o.chunks_exact_mut(6).enumerate() {
+        for r in 0..3 {
+            comps[2 * r] = acc.re[r][rhs];
+            comps[2 * r + 1] = acc.im[r][rhs];
         }
     }
 }
 
-/// `acc -= M† · v` on a pre-loaded matrix (mirror of [`mat_dag_vec_sub`]).
-#[inline]
-fn su3_mv_dag_sub(m: &Su3, v: &Vec3, acc: &mut Vec3) {
+/// `acc += M · v` in every lane: each lane runs [`mat_vec_acc`]'s
+/// multiply/add sequence for its RHS. Forced inline (it is not inlined
+/// otherwise) so the accumulator stays in registers across a site's 16
+/// applications instead of round-tripping through memory per call.
+#[inline(always)]
+fn lanes_mv_acc(m: &Su3, v: &LaneVec3, acc: &mut LaneVec3) {
+    for r in 0..3 {
+        for c in 0..3 {
+            let e = r * 3 + c;
+            let (ur, ui) = (m.re[e], m.im[e]);
+            for l in 0..N_RHS {
+                acc.re[r][l] += ur * v.re[c][l] - ui * v.im[c][l];
+                acc.im[r][l] += ur * v.im[c][l] + ui * v.re[c][l];
+            }
+        }
+    }
+}
+
+/// `acc -= M† · v` in every lane (mirror of [`mat_dag_vec_sub`]);
+/// forced inline like [`lanes_mv_acc`].
+#[inline(always)]
+fn lanes_mv_dag_sub(m: &Su3, v: &LaneVec3, acc: &mut LaneVec3) {
     for r in 0..3 {
         for c in 0..3 {
             let e = c * 3 + r;
             let (ur, ui) = (m.re[e], -m.im[e]);
-            acc.re[r] -= ur * v.re[c] - ui * v.im[c];
-            acc.im[r] -= ur * v.im[c] + ui * v.re[c];
+            for l in 0..N_RHS {
+                acc.re[r][l] -= ur * v.re[c][l] - ui * v.im[c][l];
+                acc.im[r][l] -= ur * v.im[c][l] + ui * v.re[c][l];
+            }
         }
     }
 }
 
-/// One hopping sweep for one time slice, optimized: the 16 link matrices
-/// a site needs (6 spatial forward + 6 spatial backward + 4 temporal)
-/// are loaded into flattened [`Su3`] registers once and reused across all
-/// [`N_RHS`] right-hand sides, with the μ loop unrolled. The per-RHS
-/// accumulation sequence is identical to [`hopping_sweep_scalar`], so
-/// results are bit-exact.
+/// One hopping sweep for one time slice, vectorised across right-hand
+/// sides: the accumulator holds one lane per RHS (`LaneVec3`), each
+/// neighbour's ψ is loaded once into that layout, and each link matrix
+/// is loaded once as a flattened `Su3` and applied to all lanes. Every
+/// lane runs [`hopping_sweep_scalar`]'s exact multiply/add sequence for
+/// its RHS, so results are bit-exact.
 pub fn hopping_sweep(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
     let idx = |x: usize, y: usize, z: usize| (z * n + y) * n + x;
     for z in 0..n {
@@ -400,73 +443,23 @@ pub fn hopping_sweep(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
                     idx(x, (y + n - 1) % n, z),
                     idx(x, y, (z + n - 1) % n),
                 ];
-                let u_fwd = [
-                    load_su3(s.u_0, site, 0),
-                    load_su3(s.u_0, site, 1),
-                    load_su3(s.u_0, site, 2),
-                ];
-                let u_bwd = [
-                    load_su3(s.u_0, bwd[0], 0),
-                    load_su3(s.u_0, bwd[1], 1),
-                    load_su3(s.u_0, bwd[2], 2),
-                ];
-                let f_fwd = [
-                    load_su3(s.f_0, site, 0),
-                    load_su3(s.f_0, site, 1),
-                    load_su3(s.f_0, site, 2),
-                ];
-                let f_bwd = [
-                    load_su3(s.f_0, bwd[0], 0),
-                    load_su3(s.f_0, bwd[1], 1),
-                    load_su3(s.f_0, bwd[2], 2),
-                ];
-                let ut_f = load_su3(s.u_0, site, 3);
-                let ut_b = load_su3(s.u_m, site, 3);
-                let ft_f = load_su3(s.f_0, site, 3);
-                let ft_b = load_su3(s.f_m, site, 3);
-                for rhs in 0..N_RHS {
-                    let mut acc = Vec3::default();
-                    let pf = [
-                        load_vec(s.psi_0, fwd[0], rhs),
-                        load_vec(s.psi_0, fwd[1], rhs),
-                        load_vec(s.psi_0, fwd[2], rhs),
-                    ];
-                    let pb = [
-                        load_vec(s.psi_0, bwd[0], rhs),
-                        load_vec(s.psi_0, bwd[1], rhs),
-                        load_vec(s.psi_0, bwd[2], rhs),
-                    ];
-                    // Thin links, μ = 0,1,2 unrolled (same order as the
-                    // scalar sweep's links × μ loop nest).
-                    su3_mv_acc(&u_fwd[0], &pf[0], &mut acc);
-                    su3_mv_dag_sub(&u_bwd[0], &pb[0], &mut acc);
-                    su3_mv_acc(&u_fwd[1], &pf[1], &mut acc);
-                    su3_mv_dag_sub(&u_bwd[1], &pb[1], &mut acc);
-                    su3_mv_acc(&u_fwd[2], &pf[2], &mut acc);
-                    su3_mv_dag_sub(&u_bwd[2], &pb[2], &mut acc);
-                    // Fat links, μ = 0,1,2.
-                    su3_mv_acc(&f_fwd[0], &pf[0], &mut acc);
-                    su3_mv_dag_sub(&f_bwd[0], &pb[0], &mut acc);
-                    su3_mv_acc(&f_fwd[1], &pf[1], &mut acc);
-                    su3_mv_dag_sub(&f_bwd[1], &pb[1], &mut acc);
-                    su3_mv_acc(&f_fwd[2], &pf[2], &mut acc);
-                    su3_mv_dag_sub(&f_bwd[2], &pb[2], &mut acc);
-                    // Temporal hops to the neighbouring slices.
-                    let vt_p = load_vec(s.psi_p, site, rhs);
-                    let vt_m = load_vec(s.psi_m, site, rhs);
-                    su3_mv_acc(&ut_f, &vt_p, &mut acc);
-                    su3_mv_dag_sub(&ut_b, &vt_m, &mut acc);
-                    su3_mv_acc(&ft_f, &vt_p, &mut acc);
-                    su3_mv_dag_sub(&ft_b, &vt_m, &mut acc);
-
-                    let o = site * PSI_SITE + rhs * 6;
-                    out[o] = acc.re[0];
-                    out[o + 1] = acc.im[0];
-                    out[o + 2] = acc.re[1];
-                    out[o + 3] = acc.im[1];
-                    out[o + 4] = acc.re[2];
-                    out[o + 5] = acc.im[2];
+                let pf = fwd.map(|nb| load_lanes(s.psi_0, nb));
+                let pb = bwd.map(|nb| load_lanes(s.psi_0, nb));
+                let mut acc = LaneVec3::default();
+                for links in [s.u_0, s.f_0] {
+                    for mu in 0..3 {
+                        lanes_mv_acc(&load_su3(links, site, mu), &pf[mu], &mut acc);
+                        lanes_mv_dag_sub(&load_su3(links, bwd[mu], mu), &pb[mu], &mut acc);
+                    }
                 }
+                // Temporal hops to the neighbouring slices.
+                let vt_p = load_lanes(s.psi_p, site);
+                let vt_m = load_lanes(s.psi_m, site);
+                lanes_mv_acc(&load_su3(s.u_0, site, 3), &vt_p, &mut acc);
+                lanes_mv_dag_sub(&load_su3(s.u_m, site, 3), &vt_m, &mut acc);
+                lanes_mv_acc(&load_su3(s.f_0, site, 3), &vt_p, &mut acc);
+                lanes_mv_dag_sub(&load_su3(s.f_m, site, 3), &vt_m, &mut acc);
+                store_lanes(out, site, &acc);
             }
         }
     }
@@ -507,35 +500,50 @@ mod tests {
         let expect = cfg.cpu_reference(&psi, &u, &f);
         let builder = cfg.builder();
 
-        run_model(&mut gpu, &inst.region, &builder, ExecModel::Naive, &RunOptions::default()).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::Naive,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_exact(&read_host(&gpu, inst.out).unwrap(), &expect, "naive");
 
         gpu.host_fill(inst.out, |_| 0.0).unwrap();
-        run_model(&mut gpu, &inst.region, &builder, ExecModel::Pipelined, &RunOptions::default()).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::Pipelined,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_exact(&read_host(&gpu, inst.out).unwrap(), &expect, "pipelined");
 
         gpu.host_fill(inst.out, |_| 0.0).unwrap();
-        run_model(&mut gpu, &inst.region, &builder, ExecModel::PipelinedBuffer, &RunOptions::default()).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::PipelinedBuffer,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_exact(&read_host(&gpu, inst.out).unwrap(), &expect, "buffer");
     }
 
-    #[test]
-    fn optimized_sweep_is_bit_identical_to_scalar() {
-        let n = 5;
+    /// A field generator: `(seed, len) -> values`.
+    type Fill = fn(u64, usize) -> Vec<f32>;
+
+    /// Run both sweeps over ψ drawn by `psi_fill` and links drawn by
+    /// `link_fill`, and compare their outputs bit for bit.
+    fn assert_sweeps_bit_identical(n: usize, psi_fill: Fill, link_fill: Fill) {
         let vol3 = n * n * n;
         let (ps, us) = (vol3 * PSI_SITE, vol3 * U_SITE);
-        let fill = |seed: u64, len: usize| -> Vec<f32> {
-            let mut state = seed;
-            (0..len)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-                })
-                .collect()
-        };
-        let psi = fill(1, 3 * ps);
-        let u = fill(2, 2 * us);
-        let f = fill(3, 2 * us);
+        let psi = psi_fill(1, 3 * ps);
+        let u = link_fill(2, 2 * us);
+        let f = link_fill(3, 2 * us);
         let slices = HopSlices {
             psi_m: &psi[..ps],
             psi_0: &psi[ps..2 * ps],
@@ -546,10 +554,72 @@ mod tests {
             f_0: &f[us..],
         };
         let mut scalar = vec![0.0f32; ps];
-        let mut opt = vec![0.0f32; ps];
+        let mut lanes = vec![0.0f32; ps];
         hopping_sweep_scalar(n, &slices, &mut scalar);
-        hopping_sweep(n, &slices, &mut opt);
-        assert_eq!(scalar, opt, "flattened SU(3) sweep must be bit-exact");
+        hopping_sweep(n, &slices, &mut lanes);
+        for (i, (a, b)) in scalar.iter().zip(&lanes).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "n = {n}, element {i}: scalar {a:e} vs lanes {b:e}"
+            );
+        }
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 40
+        }
+    }
+
+    fn uniform(seed: u64, len: usize) -> Vec<f32> {
+        let mut next = lcg(seed);
+        (0..len)
+            .map(|_| (next() as f32 / (1u64 << 24) as f32) * 2.0 - 1.0)
+            .collect()
+    }
+
+    /// Signed zeros, subnormals and values of magnitude up to `huge`
+    /// mixed with ordinary values in `[-1, 1)`.
+    fn special(seed: u64, len: usize, huge: f32) -> Vec<f32> {
+        let mut next = lcg(seed);
+        (0..len)
+            .map(|_| {
+                let r = next();
+                let unit = (r & 0xFFFF) as f32 / 65536.0 * 2.0 - 1.0;
+                match (r >> 16) % 6 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::from_bits(1 + (r as u32 & 0x7F_FFFF)) * unit.signum(),
+                    3 => huge * unit,
+                    _ => unit,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn optimized_sweep_is_bit_identical_to_scalar() {
+        // At n ≤ 2 each spatial forward and backward neighbour coincide.
+        for n in [1, 2, 3, 5] {
+            assert_sweeps_bit_identical(n, uniform, uniform);
+        }
+    }
+
+    #[test]
+    fn optimized_sweep_is_bit_identical_on_special_values() {
+        let huge: Fill = |seed, len| special(seed, len, 1e30);
+        let bounded: Fill = |seed, len| special(seed, len, 1.0);
+        for n in [1, 2, 3, 5] {
+            // Links near 1e30 against bounded ψ: large finite sums.
+            assert_sweeps_bit_identical(n, bounded, huge);
+            // Both near 1e30: products overflow to ±inf, then NaN.
+            assert_sweeps_bit_identical(n, huge, huge);
+        }
     }
 
     #[test]
@@ -559,7 +629,14 @@ mod tests {
         let cfg = QcdConfig::paper_size(24);
         let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Timing).unwrap();
         let inst = cfg.setup(&mut gpu).unwrap();
-        let rep = run_model(&mut gpu, &inst.region, &cfg.builder(), ExecModel::Naive, &RunOptions::default()).unwrap();
+        let rep = run_model(
+            &mut gpu,
+            &inst.region,
+            &cfg.builder(),
+            ExecModel::Naive,
+            &RunOptions::default(),
+        )
+        .unwrap();
         let share = rep.transfer_fraction();
         assert!(
             (0.35..0.65).contains(&share),
@@ -574,8 +651,22 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Timing).unwrap();
         let inst = cfg.setup(&mut gpu).unwrap();
         let builder = cfg.builder();
-        let naive = run_model(&mut gpu, &inst.region, &builder, ExecModel::Naive, &RunOptions::default()).unwrap();
-        let buf = run_model(&mut gpu, &inst.region, &builder, ExecModel::PipelinedBuffer, &RunOptions::default()).unwrap();
+        let naive = run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::Naive,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        let buf = run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::PipelinedBuffer,
+            &RunOptions::default(),
+        )
+        .unwrap();
         // Ring ≈ C slices vs nt slices.
         let per_slice = (2 * cfg.psi_slice() + 2 * cfg.u_slice()) as u64 * 4;
         assert_eq!(naive.array_bytes, per_slice * cfg.nt as u64);

@@ -29,9 +29,9 @@ pub fn stencil_plane_scalar(
     for j in 1..ny - 1 {
         for i in 1..nx - 1 {
             let c = j * nx + i;
-            out[c] =
-                (above[c] + below[c] + mid[c + nx] + mid[c - nx] + mid[c + 1] + mid[c - 1]) * c1
-                    - mid[c] * c0;
+            out[c] = (above[c] + below[c] + mid[c + nx] + mid[c - nx] + mid[c + 1] + mid[c - 1])
+                * c1
+                - mid[c] * c0;
         }
     }
 }
@@ -63,8 +63,7 @@ pub fn stencil_plane(
         let west = &mid[r..r + w];
         let center = &mid[r + 1..r + 1 + w];
         for i in 0..w {
-            o[i] = (up[i] + dn[i] + north[i] + south[i] + east[i] + west[i]) * c1
-                - center[i] * c0;
+            o[i] = (up[i] + dn[i] + north[i] + south[i] + east[i] + west[i]) * c1 - center[i] * c0;
         }
     }
 }
@@ -254,15 +253,36 @@ mod tests {
         let expect = cfg.cpu_reference(&a0);
         let builder = cfg.builder();
 
-        run_model(&mut gpu, &inst.region, &builder, ExecModel::Naive, &RunOptions::default()).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::Naive,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_exact(&read_host(&gpu, inst.anext).unwrap(), &expect, "naive");
 
         gpu.host_fill(inst.anext, |_| 0.0).unwrap();
-        run_model(&mut gpu, &inst.region, &builder, ExecModel::Pipelined, &RunOptions::default()).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::Pipelined,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_exact(&read_host(&gpu, inst.anext).unwrap(), &expect, "pipelined");
 
         gpu.host_fill(inst.anext, |_| 0.0).unwrap();
-        run_model(&mut gpu, &inst.region, &builder, ExecModel::PipelinedBuffer, &RunOptions::default()).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::PipelinedBuffer,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_exact(&read_host(&gpu, inst.anext).unwrap(), &expect, "buffer");
     }
 
@@ -281,8 +301,22 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional).unwrap();
         let inst = cfg.setup(&mut gpu).unwrap();
         let builder = cfg.builder();
-        let naive = run_model(&mut gpu, &inst.region, &builder, ExecModel::Naive, &RunOptions::default()).unwrap();
-        let buf = run_model(&mut gpu, &inst.region, &builder, ExecModel::PipelinedBuffer, &RunOptions::default()).unwrap();
+        let naive = run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::Naive,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        let buf = run_model(
+            &mut gpu,
+            &inst.region,
+            &builder,
+            ExecModel::PipelinedBuffer,
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert!(buf.array_bytes < naive.array_bytes / 2);
     }
 }

@@ -58,7 +58,11 @@ mod tests {
         let b = gpu.alloc_host(64, true).unwrap();
         fill_random(&gpu, a, 42).unwrap();
         fill_random(&gpu, b, 42).unwrap();
-        assert_exact(&read_host(&gpu, a).unwrap(), &read_host(&gpu, b).unwrap(), "fill");
+        assert_exact(
+            &read_host(&gpu, a).unwrap(),
+            &read_host(&gpu, b).unwrap(),
+            "fill",
+        );
         // Different seed → different data.
         fill_random(&gpu, b, 43).unwrap();
         assert!(max_rel_error(&read_host(&gpu, a).unwrap(), &read_host(&gpu, b).unwrap()) > 0.0);

@@ -101,7 +101,7 @@ fn bench(c: &mut Criterion) {
             black_box(out)
         })
     });
-    g.bench_function("qcd_sweep_flat_n8", |bch| {
+    g.bench_function("qcd_sweep_lanes_n8", |bch| {
         bch.iter(|| {
             let mut out = vec![0.0f32; ps];
             qcd::hopping_sweep(qn, &slices, &mut out);

@@ -506,7 +506,7 @@ fn qcd_func(s: FuncShapes) -> FuncPerf {
     let mut o_b = vec![0.0f32; ps];
     let scalar_ms = time_ms(reps, || qcd::hopping_sweep_scalar(n, &slices, &mut o_s));
     let blocked_ms = time_ms(reps, || qcd::hopping_sweep(n, &slices, &mut o_b));
-    assert_eq!(o_s, o_b, "flattened QCD sweep diverged from the scalar reference");
+    assert_eq!(o_s, o_b, "RHS-lane QCD sweep diverged from the scalar reference");
     FuncPerf {
         app: "qcd",
         shape: format!("{n}^3 slice, {} rhs", qcd::N_RHS),

@@ -9,6 +9,7 @@
 //! bit-identical to an uninterrupted run.
 
 use gpsim::{Gpu, HostBufId, KernelCost, KernelLaunch, SimTime};
+use pipeline_apps::matmul::gemm_rank_update;
 use pipeline_apps::util::fill_random;
 use pipeline_apps::{Conv3dConfig, QcdConfig, StencilConfig};
 use pipeline_rt::{
@@ -273,15 +274,11 @@ fn gemm_setup(cfg: &GemmConfig, gpu: &mut Gpu, salt: u64) -> RtResult<JobInstanc
                     let ab = kc.read(va.slice_ptr(k), bs * n)?;
                     let bb = kc.read(vb.slice_ptr(0), n * n)?;
                     let mut cb = kc.write(vc.slice_ptr(k), bs * n)?;
-                    for r in 0..bs {
-                        for col in 0..n {
-                            let mut acc = 0.0f32;
-                            for j in 0..n {
-                                acc += ab[r * n + j] * bb[j * n + col];
-                            }
-                            cb[r * n + col] = acc;
-                        }
-                    }
+                    // A rank-n update over a zeroed row block adds each
+                    // element's products in ascending j from 0.0, the
+                    // same sequence as `matmul::gemm_scalar`.
+                    cb.fill(0.0);
+                    gemm_rank_update(&mut cb, n, &ab, n, &bb, n);
                 }
                 Ok(())
             },
